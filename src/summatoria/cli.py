@@ -1,7 +1,7 @@
 """Command-line interface: sieve, sum, stats, scaling, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 resource limit exceeded.
+Exit codes: 0 success, 1 verification failure, 2 configuration or I/O
+error, 3 resource limit exceeded.
 
 All CSV output is deterministic byte-for-byte for a fixed command line and
 package version: rows end with a single newline, real numbers are printed
@@ -37,17 +37,10 @@ from .series import (
     geometric_ladder,
     resolve_checkpoints,
 )
+from .verify import fmt12
 
 #: Above this limit, scaling reports switch from all-n to ladder checkpoints.
 DENSE_SCAN_LIMIT = 10**6
-
-
-def fmt12(x) -> str:
-    """A real number with 12 significant digits; -0.0 normalized to 0."""
-    v = float(x)
-    if v == 0.0:
-        v = 0.0
-    return format(v, ".12g")
 
 
 def parse_limit(text: str) -> int:
@@ -108,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--cache-dir", default=os.environ.get(ENV_CACHE_DIR),
                        help=f"artifact cache directory (default: ${ENV_CACHE_DIR} if set)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=parse_limit, default=os.cpu_count() or 1,
                        help="sieve worker threads; results never depend on this")
 
     p = sub.add_parser("sieve", help="pointwise values over an interval")
@@ -346,7 +339,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,9 +2,10 @@
 
 Everything here reduces to two prefix aggregates, S(n) = sum of f(k) and
 Q(n) = sum of f(k)^2 for k <= n, combined into pair averages over the n x n
-index grid. For the ±1/0-valued kinds both aggregates are exact 64-bit
-integers, so the algebraic identities (second-moment decomposition, parity
-bookkeeping) hold bit-for-bit, not just to rounding.
+index grid. Both come from the exact segment walk in series.py: exact 64-bit
+integers for the ±1/0-valued kinds, so the algebraic identities hold
+bit-for-bit, and correctly rounded sums for the Chebyshev kinds. The per-n
+helpers return exactly what moment_scan reports at that n.
 
 The pair average over ordered pairs with i != j uses the divisor n(n-1);
 pair_product_counts instead counts over the full grid including i = j.
@@ -19,13 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .kernels import FunctionKind, ValueTable, sieve_values
 from .series import (
+    _FLOAT_EXACT_LIMIT,
     DEFAULT_SEGMENT,
     SummatorySeries,
-    _neumaier,
-    _segment_bounds,
+    _ExactRun,
+    _prefix_sums,
     resolve_checkpoints,
     value_at,
 )
@@ -112,25 +114,30 @@ class MomentReport:
 
 
 def sum_of_squares(kind: FunctionKind, n: int, *, segment_size: int = DEFAULT_SEGMENT):
-    """Q(n) = sum of f(k)^2 for k <= n.
+    """Q(n) = sum of f(k)^2 for k <= n, as moment_scan reports it.
 
-    Liouville needs no scan (f^2 is identically 1). The other kinds stream
-    sieve segments; ±1/0 kinds count nonzero entries exactly.
+    Liouville needs no scan (f^2 is identically 1).
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if kind is FunctionKind.LIOUVILLE:
         return n
-    if kind.is_integer_valued:
-        total = 0
-        for lo, hi in _segment_bounds(1, n, segment_size):
-            total += int(np.count_nonzero(sieve_values(kind, lo, hi).values))
-        return total
-    total, comp = 0.0, 0.0
-    for lo, hi in _segment_bounds(1, n, segment_size):
-        v = sieve_values(kind, lo, hi).values
-        total, comp = _neumaier(total, comp, math.fsum(v * v))
-    return total + comp
+    return moment_scan(kind, n, [n], segment_size=segment_size)[-1].sum_Q
+
+
+def _report(kind: FunctionKind, n: int, s, q) -> MomentReport:
+    """The MomentReport for prefix aggregates S(n) = s and Q(n) = q."""
+    gap = None if n < 2 else (s * s - q) / (n * (n - 1)) - (s / n) ** 2
+    decomp = SecondMomentDecomposition(s * s, q, s * s - q)
+    return MomentReport(kind, n, s, q, (s * s) / (n * n), gap, decomp)
+
+
+def _report_at(series: SummatorySeries, n: int, segment_size: int) -> MomentReport:
+    """The report moment_scan gives at n, with S(n) read from the series."""
+    s = value_at(series, n, segment_size=segment_size)
+    indicator = series.kind is FunctionKind.PRIME_INDICATOR  # f^2 = f, no scan needed
+    q = s if indicator else sum_of_squares(series.kind, n, segment_size=segment_size)
+    return _report(series.kind, n, s, q)
 
 
 def grid_sum_ratio(series: SummatorySeries, n: int) -> float:
@@ -181,11 +188,7 @@ def covariance_gap(series: SummatorySeries, n: int, *, segment_size: int = DEFAU
     """
     if n < 2:
         raise DomainError(f"pair average needs n >= 2, got {n}")
-    s = value_at(series, n)
-    q = sum_of_squares(series.kind, n, segment_size=segment_size)
-    if series.kind is FunctionKind.PRIME_INDICATOR:
-        q = s  # f^2 = f for an indicator, no scan needed
-    return (s * s - q) / (n * (n - 1)) - (s / n) ** 2
+    return _report_at(series, n, segment_size).covariance_gap
 
 
 def lag_covariance(table: ValueTable, lag: int, window: tuple[int, int]) -> LagCovariance:
@@ -193,8 +196,13 @@ def lag_covariance(table: ValueTable, lag: int, window: tuple[int, int]) -> LagC
 
     Pairs run over k = lo .. hi-lag; normalization divides by the pair
     count. Correlation is defined as 0 when either marginal variance is 0.
-    ±1/0 kinds are aggregated in exact integers, so a zero variance is
-    detected exactly rather than up to rounding.
+    All sums are exact integers, the log-terms and their float64 products
+    in fixed point, so for the ±1/0 kinds a zero variance is detected
+    exactly rather than up to rounding.
+
+    Raises:
+        DomainError: lag < 1 or a window outside the table or too short.
+        ResourceError: a Chebyshev table past the exact-summation limit.
     """
     lo, hi = window
     if lag < 1:
@@ -203,36 +211,29 @@ def lag_covariance(table: ValueTable, lag: int, window: tuple[int, int]) -> LagC
         raise DomainError(f"window [{lo}, {hi}] outside table [{table.lo}, {table.hi}]")
     if hi - lo + 1 <= lag + 1:
         raise DomainError(f"window [{lo}, {hi}] too short for lag {lag}")
+    integer = table.kind.is_integer_valued
+    if not integer and table.hi > _FLOAT_EXACT_LIMIT:
+        raise ResourceError(f"float sums are exact only up to k = {_FLOAT_EXACT_LIMIT}")
     x = table.values[lo - table.lo : hi - lag - table.lo + 1]
     y = table.values[lo + lag - table.lo : hi - table.lo + 1]
     m = len(x)
-    if table.kind.is_integer_valued:
-        xl = x.astype(np.int64)
-        yl = y.astype(np.int64)
-        sx = int(xl.sum())
-        sy = int(yl.sum())
-        sxy = int((xl * yl).sum())
-        sxx = int((xl * xl).sum())
-        syy = int((yl * yl).sum())
-        cov_num = m * sxy - sx * sy
-        varx_num = m * sxx - sx * sx
-        vary_num = m * syy - sy * sy
-        cov = cov_num / (m * m)
-        if varx_num == 0 or vary_num == 0:
-            return LagCovariance(table.kind, lag, (lo, hi), cov, 0.0)
-        corr = cov_num / math.sqrt(varx_num) / math.sqrt(vary_num)
-        return LagCovariance(table.kind, lag, (lo, hi), cov, corr)
-    sx = math.fsum(x)
-    sy = math.fsum(y)
-    sxy = math.fsum(x * y)
-    sxx = math.fsum(x * x)
-    syy = math.fsum(y * y)
-    cov = sxy / m - (sx / m) * (sy / m)
-    varx = sxx / m - (sx / m) ** 2
-    vary = syy / m - (sy / m) ** 2
-    if varx <= 0.0 or vary <= 0.0:
+
+    def total(terms, scale):
+        run = _ExactRun(None if integer else scale)
+        run.add(terms, [])
+        return run.total
+
+    # Sums of log-terms carry 2**53 and of their products 2**54; the weight
+    # w puts m times a product sum on the 2**106 scale of sx * sy.
+    w, unit = (m, 1) if integer else (m << 52, 1 << 106)
+    sx, sy = total(x, 53), total(y, 53)
+    cov_num = w * total(x * y, 54) - sx * sy
+    varx_num = w * total(x * x, 54) - sx * sx
+    vary_num = w * total(y * y, 54) - sy * sy
+    cov = cov_num / (m * m * unit)
+    if varx_num <= 0 or vary_num <= 0:  # rounded squares can undershoot 0
         return LagCovariance(table.kind, lag, (lo, hi), cov, 0.0)
-    corr = cov / math.sqrt(varx * vary)
+    corr = cov_num / math.sqrt(varx_num) / math.sqrt(vary_num)
     return LagCovariance(table.kind, lag, (lo, hi), cov, corr)
 
 
@@ -273,11 +274,7 @@ def second_moment_decomposition(
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    s = value_at(series, n)
-    q = sum_of_squares(series.kind, n, segment_size=segment_size)
-    if series.kind is FunctionKind.PRIME_INDICATOR:
-        q = s
-    return SecondMomentDecomposition(s * s, q, s * s - q)
+    return _report_at(series, n, segment_size).decomposition
 
 
 def moment_scan(
@@ -289,54 +286,13 @@ def moment_scan(
 ) -> list[MomentReport]:
     """MomentReports at every planned checkpoint in one pass over [1, limit].
 
-    Streams sieve segments once, tracking S and Q together, so a full
-    ladder of reports costs the same as a single accumulation.
+    One exact reduction yields S and Q together, so a full ladder of
+    reports costs the same as a single accumulation.
+
+    Raises:
+        DomainError: limit < 1, segment_size < 1 or a malformed plan.
+        ResourceError: a float kind past the exact-summation limit.
     """
-    if limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
     cps = resolve_checkpoints(limit, checkpoint_plan)
-    integer = kind.is_integer_valued
-    s_at = np.zeros(len(cps), dtype=np.int64 if integer else np.float64)
-    q_at = np.zeros(len(cps), dtype=np.int64 if integer else np.float64)
-
-    run_s = 0
-    run_q = 0
-    fs_total, fs_comp = 0.0, 0.0
-    fq_total, fq_comp = 0.0, 0.0
-    cp_pos = 0
-    for lo, hi in _segment_bounds(1, limit, segment_size):
-        values = sieve_values(kind, lo, hi).values
-        cp_end = cp_pos + int(np.searchsorted(cps[cp_pos:], hi, side="right"))
-        seg_cps = cps[cp_pos:cp_end]
-        if integer:
-            cum_s = np.cumsum(values, dtype=np.int64)
-            cum_q = np.cumsum(values != 0, dtype=np.int64)
-            if len(seg_cps):
-                s_at[cp_pos:cp_end] = run_s + cum_s[seg_cps - lo]
-                q_at[cp_pos:cp_end] = run_q + cum_q[seg_cps - lo]
-            run_s += int(cum_s[-1])
-            run_q += int(cum_q[-1])
-        else:
-            sq = values * values
-            for i, ncp in enumerate(seg_cps):
-                off = int(ncp) - lo + 1
-                ts, cs = _neumaier(fs_total, fs_comp, math.fsum(values[:off]))
-                tq, cq = _neumaier(fq_total, fq_comp, math.fsum(sq[:off]))
-                s_at[cp_pos + i] = ts + cs
-                q_at[cp_pos + i] = tq + cq
-            fs_total, fs_comp = _neumaier(fs_total, fs_comp, math.fsum(values))
-            fq_total, fq_comp = _neumaier(fq_total, fq_comp, math.fsum(sq))
-        cp_pos = cp_end
-
-    reports = []
-    for i, ncp in enumerate(cps):
-        n = int(ncp)
-        s = int(s_at[i]) if integer else float(s_at[i])
-        q = int(q_at[i]) if integer else float(q_at[i])
-        ratio = (s * s) / (n * n)
-        gap = None
-        if n >= 2:
-            gap = (s * s - q) / (n * (n - 1)) - (s / n) ** 2
-        decomp = SecondMomentDecomposition(s * s, q, s * s - q)
-        reports.append(MomentReport(kind, n, s, q, ratio, gap, decomp))
-    return reports
+    s_at, q_at = _prefix_sums(kind, cps, segment_size=segment_size, squares=True)
+    return [_report(kind, n, s, q) for n, s, q in zip(cps.tolist(), s_at.tolist(), q_at.tolist())]

@@ -1,13 +1,15 @@
 """Checkpointed summatory series S(n) and their deviations.
 
 accumulate() streams sieve segments over [1, limit] in a single monotone
-pass, recording S(n) at the requested checkpoints. Integer-valued kinds use
-exact int64 accumulators; the Chebyshev kinds carry a Neumaier-compensated
-float total across segments so that absolute summation error stays below
-1e-6 even at limits around 1e8.
+pass, recording S(n) at the requested checkpoints; the same walk also gives
+Q(n) = sum of f(k)^2 to moment_scan. Integer-valued kinds sum in int64. The
+Chebyshev terms are summed exactly in fixed point and each checkpoint is
+rounded once, so every value is the correctly rounded sum of f(1..n) (what
+math.fsum returns) and depends only on (kind, n), for n up to
+_FLOAT_EXACT_LIMIT.
 
 Segments may be sieved by a thread pool, but the reduction is always applied
-in segment order, so results are bit-identical for any thread count.
+in segment order.
 """
 
 from __future__ import annotations
@@ -26,10 +28,15 @@ from .kernels import FunctionKind, sieve_values
 DEFAULT_SEGMENT = 1 << 22
 #: Refuse limits above this unless the caller raises the cap explicitly.
 DEFAULT_MAX_LIMIT = 10**9
-#: Per-segment checkpoint count at or below which float checkpoints are
-#: evaluated with exactly rounded partial sums (math.fsum) instead of a
-#: running cumulative sum.
-_FSUM_CHECKPOINT_CAP = 64
+#: Largest n for which float prefix sums stay exact. The fixed-point scale
+#: of a square (log p)^2 is 2**54, so it fits int64 while (log n)^2 < 2**9,
+#: and the high limb 2**25 Q(n) stays below 2**62, since Q(n) <= log(n) psi(n)
+#: < 1.03883 n log n (Rosser and Schoenfeld).
+_FLOAT_EXACT_LIMIT = 5 * 10**9
+#: Width of the low fixed-point limb; 29 bits keeps every limb cumsum and
+#: every readout residue far inside int64 and the float64 mantissa.
+_LIMB = 29
+_LIMB_MASK = (1 << _LIMB) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +155,8 @@ def resolve_checkpoints(limit: int, plan=None) -> np.ndarray:
     a numeric ratio > 1, or an explicit iterable of positions. Explicit
     positions are deduplicated, sorted, and extended with limit if absent.
     """
+    if limit < 1:
+        raise DomainError(f"limit must be >= 1, got {limit}")
     if plan is None or (isinstance(plan, str) and plan == "geometric"):
         return geometric_ladder(limit)
     if isinstance(plan, str):
@@ -164,26 +173,9 @@ def resolve_checkpoints(limit: int, plan=None) -> np.ndarray:
     return np.array(points, dtype=np.int64)
 
 
-def _neumaier(total: float, comp: float, x: float) -> tuple[float, float]:
-    """One compensated-summation step; the running value is total + comp."""
-    t = total + x
-    if abs(total) >= abs(x):
-        comp += (total - t) + x
-    else:
-        comp += (x - t) + total
-    return t, comp
-
-
-def _segment_bounds(lo: int, hi: int, segment_size: int):
-    start = lo
-    while start <= hi:
-        end = min(start + segment_size - 1, hi)
-        yield start, end
-        start = end + 1
-
-
-def _ordered_segments(kind: FunctionKind, bounds, threads: int):
-    """Yield (lo, hi, values) in segment order, sieving ahead on threads."""
+def _ordered_segments(kind: FunctionKind, start: int, stop: int, segment_size: int, threads: int):
+    """Yield (lo, hi, values) per segment of [start, stop] in order, sieving ahead."""
+    bounds = ((a, min(a + segment_size - 1, stop)) for a in range(start, stop + 1, segment_size))
     if threads <= 1:
         for lo, hi in bounds:
             yield lo, hi, sieve_values(kind, lo, hi).values
@@ -204,6 +196,98 @@ def _ordered_segments(kind: FunctionKind, bounds, threads: int):
                 pending.append((b, pool.submit(sieve_values, kind, b[0], b[1])))
 
 
+def _cumsum0(terms: np.ndarray) -> np.ndarray:
+    """int64 prefix sums of terms with a leading 0: entry c sums c terms."""
+    out = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(terms, dtype=np.int64, out=out[1:])
+    return out
+
+
+class _ExactRun:
+    """An exact running sum of a stream of terms, read out at term counts.
+
+    With scale None the terms are integers summed in int64. Otherwise they
+    are nonnegative multiples of 2**-scale below 2**(63 - scale): exact
+    int64 in fixed point, cumsummed as two 29-bit limbs, and each readout
+    is the correctly rounded float64 of the exact total.
+    """
+
+    def __init__(self, scale: int | None = None):
+        self.scale = scale
+        self.total = 0  # the exact sum so far, in units of 2**-scale
+
+    def add(self, terms: np.ndarray, counts) -> np.ndarray:
+        """Append terms; return the running sum after counts[i] of them."""
+        if self.scale is None:
+            cum = _cumsum0(terms)
+            out = self.total + cum[counts]
+            self.total += int(cum[-1])
+            return out
+        x = np.ldexp(terms, self.scale).astype(np.int64)
+        hi, lo = _cumsum0(x >> _LIMB), _cumsum0(x & _LIMB_MASK)
+        h, l = hi[counts], lo[counts]
+        h += self.total >> _LIMB
+        l += self.total & _LIMB_MASK
+        self.total += (int(hi[-1]) << _LIMB) + int(lo[-1])
+        # float(h) is exact up to the residue e = h - float(h), so the total
+        # is float(h) * 2**29 + (e * 2**29 + l): two doubles, rounded once.
+        h += l >> _LIMB
+        l &= _LIMB_MASK
+        a = h.astype(np.float64)
+        h -= a.astype(np.int64)
+        h <<= _LIMB
+        h += l
+        np.ldexp(a, _LIMB, out=a)
+        a += h
+        return np.ldexp(a, -self.scale, out=a)
+
+
+def _prefix_sums(
+    kind: FunctionKind,
+    cps: np.ndarray,
+    *,
+    lo: int = 1,
+    segment_size: int = DEFAULT_SEGMENT,
+    threads: int = 1,
+    squares: bool = False,
+):
+    """(S, Q) over [lo, n] for each n in cps; Q = sum of f(k)^2, or None.
+
+    The one segment walk of the package. Float kinds are reduced over their
+    nonzero terms log p, which lie on the 2**-53 grid, their squares on the
+    2**-54 grid.
+
+    Raises:
+        DomainError: segment_size < 1.
+        ResourceError: a float kind past _FLOAT_EXACT_LIMIT.
+    """
+    if segment_size < 1:
+        raise DomainError(f"segment size must be >= 1, got {segment_size}")
+    integer = kind.is_integer_valued
+    if not integer and int(cps[-1]) > _FLOAT_EXACT_LIMIT:
+        raise ResourceError(f"{kind.label} sums are exact only up to n = {_FLOAT_EXACT_LIMIT}, "
+                            f"got {int(cps[-1])}")
+    s_run = _ExactRun(None if integer else 53)
+    q_run = _ExactRun(None if integer else 54)
+    s = np.empty(len(cps), dtype=np.int64 if integer else np.float64)
+    q = np.empty_like(s) if squares else None
+
+    pos = 0
+    for seg_lo, seg_hi, values in _ordered_segments(kind, lo, int(cps[-1]), segment_size, threads):
+        end = pos + int(np.searchsorted(cps[pos:], seg_hi, side="right"))
+        at = cps[pos:end]
+        if integer:
+            terms, counts = values, at - (seg_lo - 1)
+        else:
+            nz = np.flatnonzero(values)
+            terms, counts = values[nz], np.searchsorted(nz + seg_lo, at, side="right")
+        s[pos:end] = s_run.add(terms, counts)
+        if squares:
+            q[pos:end] = q_run.add(terms * terms, counts)
+        pos = end
+    return s, q
+
+
 def accumulate(
     kind: FunctionKind,
     limit: int,
@@ -216,51 +300,18 @@ def accumulate(
     """Build S(n) = sum of f(k) for k <= n at the planned checkpoints.
 
     A single monotone pass over [1, limit] in sieve segments. Integer kinds
-    accumulate exactly in int64. Chebyshev kinds carry a compensated float
-    total between segments; sparse checkpoints (at most _FSUM_CHECKPOINT_CAP
-    per segment) are finished with math.fsum partial sums, dense plans with
-    a per-segment cumulative sum. Results depend only on (limit,
-    checkpoint_plan, segment_size), never on the thread count.
+    are exact; Chebyshev kinds are the correctly rounded sums. Results
+    depend only on (kind, n), never on the plan, segment_size or threads.
 
     Raises:
-        DomainError: limit < 1 or a malformed plan.
-        ResourceError: limit > max_limit.
+        DomainError: limit < 1, segment_size < 1 or a malformed plan.
+        ResourceError: limit > max_limit, or a float kind past _FLOAT_EXACT_LIMIT.
     """
-    if limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
     if limit > max_limit:
         raise ResourceError(f"limit {limit} exceeds the configured maximum {max_limit}")
-    if segment_size < 1:
-        raise DomainError(f"segment size must be >= 1, got {segment_size}")
-
     cps = resolve_checkpoints(limit, checkpoint_plan)
-    integer = kind.is_integer_valued
-    out = np.zeros(len(cps), dtype=np.int64 if integer else np.float64)
-
-    run_int = 0
-    run_total, run_comp = 0.0, 0.0
-    cp_pos = 0
-    bounds = _segment_bounds(1, limit, segment_size)
-    for lo, hi, values in _ordered_segments(kind, bounds, threads):
-        cp_end = cp_pos + int(np.searchsorted(cps[cp_pos:], hi, side="right"))
-        seg_cps = cps[cp_pos:cp_end]
-        if integer:
-            cum = np.cumsum(values, dtype=np.int64)
-            if len(seg_cps):
-                out[cp_pos:cp_end] = run_int + cum[seg_cps - lo]
-            run_int += int(cum[-1])
-        else:
-            if len(seg_cps) > _FSUM_CHECKPOINT_CAP:
-                cum = np.cumsum(values)
-                if len(seg_cps):
-                    out[cp_pos:cp_end] = (run_total + run_comp) + cum[seg_cps - lo]
-            else:
-                for i, n in enumerate(seg_cps):
-                    t, c = _neumaier(run_total, run_comp, math.fsum(values[: int(n) - lo + 1]))
-                    out[cp_pos + i] = t + c
-            run_total, run_comp = _neumaier(run_total, run_comp, math.fsum(values))
-        cp_pos = cp_end
-    return SummatorySeries(kind, limit, cps, out)
+    sums, _ = _prefix_sums(kind, cps, segment_size=segment_size, threads=threads)
+    return SummatorySeries(kind, limit, cps, sums)
 
 
 def deviation_series(series: SummatorySeries, model: MeanModel = MeanModel()) -> DeviationSeries:
@@ -270,10 +321,11 @@ def deviation_series(series: SummatorySeries, model: MeanModel = MeanModel()) ->
 
 
 def value_at(series: SummatorySeries, n: int, *, segment_size: int = DEFAULT_SEGMENT):
-    """S(n) for any n <= limit, re-sieving the gap past the last checkpoint.
+    """S(n) for any n <= limit, equal to what accumulate reports at n.
 
-    Exact for integer kinds; for Chebyshev kinds the gap is added to the
-    nearest stored checkpoint with compensated summation.
+    A stored checkpoint is returned as is. Otherwise integer kinds add the
+    gap past the nearest checkpoint below n; Chebyshev kinds reduce [1, n]
+    again, since a rounded checkpoint cannot seed an exact sum.
 
     Raises:
         DomainError: n < 1 or n > series.limit.
@@ -284,18 +336,9 @@ def value_at(series: SummatorySeries, n: int, *, segment_size: int = DEFAULT_SEG
         raise DomainError(f"n={n} exceeds series limit {series.limit}")
     idx = int(np.searchsorted(series.ns, n, side="right")) - 1
     if idx >= 0 and int(series.ns[idx]) == n:
-        s = series.sums[idx]
-        return int(s) if series.kind.is_integer_valued else float(s)
-    start = int(series.ns[idx]) + 1 if idx >= 0 else 1
-    if series.kind.is_integer_valued:
-        total = int(series.sums[idx]) if idx >= 0 else 0
-        for lo, hi in _segment_bounds(start, n, segment_size):
-            seg = sieve_values(series.kind, lo, hi).values
-            total += int(seg.astype(np.int64).sum())
-        return total
-    total = float(series.sums[idx]) if idx >= 0 else 0.0
-    comp = 0.0
-    for lo, hi in _segment_bounds(start, n, segment_size):
-        seg = sieve_values(series.kind, lo, hi).values
-        total, comp = _neumaier(total, comp, math.fsum(seg))
-    return total + comp
+        return series.sums[idx].item()
+    base, start = 0, 1
+    if idx >= 0 and series.kind.is_integer_valued:
+        base, start = series.sums[idx].item(), int(series.ns[idx]) + 1
+    s, _ = _prefix_sums(series.kind, np.array([n]), lo=start, segment_size=segment_size)
+    return base + s[0].item()

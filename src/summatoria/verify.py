@@ -80,7 +80,8 @@ def render_json(outcome: VerifyOutcome) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _fmt(x) -> str:
+def fmt12(x) -> str:
+    """A real number with 12 significant digits; -0.0 normalized to 0."""
     v = float(x)
     if v == 0.0:
         v = 0.0
@@ -216,8 +217,8 @@ class _Suite:
             r_hi = (int(prefix[n_hi - 1]) / n_hi) ** 2
             r_lo = (int(prefix[n_lo - 1]) / n_lo) ** 2
             factor = r_lo / r_hi if r_hi > 0 else math.inf
-            parts.append(f"{label}_ratio_lo={_fmt(r_lo)} {label}_ratio_hi={_fmt(r_hi)} "
-                         f"{label}_factor={_fmt(factor) if factor != math.inf else 'inf'}")
+            parts.append(f"{label}_ratio_lo={fmt12(r_lo)} {label}_ratio_hi={fmt12(r_hi)} "
+                         f"{label}_factor={fmt12(factor) if factor != math.inf else 'inf'}")
             if not (r_hi <= 1e-3 and factor >= 10):
                 ok = False
         measured = f"n_lo={n_lo} n_hi={n_hi} " + " ".join(parts)
@@ -253,7 +254,7 @@ class _Suite:
             gap = (0 - anchor_n) / (anchor_n * (anchor_n - 1)) - 0.0
             anchor_ok = gap == -1.0 / (anchor_n - 1)
         ok = worst <= 2.0 and anchor_ok
-        measured = (f"max_n_times_gap={_fmt(worst)} anchor_n={anchor_n} "
+        measured = (f"max_n_times_gap={fmt12(worst)} anchor_n={anchor_n} "
                     f"anchor_exact={'yes' if anchor_ok else 'no'}")
         self.record(4, "pair-average-decay", "PASS" if ok else "FAIL", measured, t)
 
@@ -265,7 +266,7 @@ class _Suite:
         for label, prefix in (("mobius", self.mob_prefix), ("liouville", self.lam_prefix)):
             ratios = np.abs(prefix) / roots
             i = int(np.argmax(ratios))
-            parts.append(f"{label}_max={_fmt(ratios[i])} {label}_argmax={i + 1}")
+            parts.append(f"{label}_max={fmt12(ratios[i])} {label}_argmax={i + 1}")
             if not ratios[i] <= 1.5:
                 ok = False
         self.record(5, "sqrt-envelope", "PASS" if ok else "FAIL", " ".join(parts), t)
@@ -284,7 +285,7 @@ class _Suite:
             devs = np.abs(prefix[1:])
             frac_log = np.count_nonzero(devs <= bound_log) / len(ns)
             frac_small = np.count_nonzero(devs <= bound_small) / len(ns)
-            parts.append(f"{label}_log={_fmt(frac_log)} {label}_const0.01={_fmt(frac_small)}")
+            parts.append(f"{label}_log={fmt12(frac_log)} {label}_const0.01={fmt12(frac_small)}")
             if frac_log != 1.0 or not frac_small < 1.0:
                 ok = False
         self.record(6, "growth-bound-coverage", "PASS" if ok else "FAIL", " ".join(parts), t)
@@ -298,9 +299,9 @@ class _Suite:
         lc_prime = lag_covariance(self.t_pri, 1, (3, self.scale))
         lc_lam = lag_covariance(self.t_lam, 1, (3, self.scale))
         factor = (abs(lc_prime.corr) / abs(lc_lam.corr)) if lc_lam.corr != 0 else math.inf
-        measured = (f"joint={_fmt(stats.joint)} product={_fmt(stats.product)} "
-                    f"corr_prime={_fmt(lc_prime.corr)} corr_liouville={_fmt(lc_lam.corr)} "
-                    f"factor={_fmt(factor) if factor != math.inf else 'inf'}")
+        measured = (f"joint={fmt12(stats.joint)} product={fmt12(stats.product)} "
+                    f"corr_prime={fmt12(lc_prime.corr)} corr_liouville={fmt12(lc_lam.corr)} "
+                    f"factor={fmt12(factor) if factor != math.inf else 'inf'}")
         base_ok = stats.joint == 0.0 and stats.product > 0.0
         if not self.full:
             status = "PASS" if base_ok else "FAIL"
@@ -396,12 +397,12 @@ class _Suite:
             for kind in (FunctionKind.MOBIUS, FunctionKind.LIOUVILLE):
                 series = accumulate(kind, self.limit, "geometric", threads=self.threads)
                 env = normalized_envelope(deviation_series(series, MeanModel(0.0)))
-                envs.append(f"{kind.label}_ladder_max={_fmt(env.max_ratio)} "
+                envs.append(f"{kind.label}_ladder_max={fmt12(env.max_ratio)} "
                             f"{kind.label}_ladder_argmax={env.argmax_n}")
             measured_extra = " " + " ".join(envs)
         elapsed = time.monotonic() - self.t0
         ok = elapsed <= budget
-        measured = f"budget_s={_fmt(budget)}{measured_extra}"
+        measured = f"budget_s={fmt12(budget)}{measured_extra}"
         print(f"info: total elapsed {elapsed:.2f}s against budget {budget:.0f}s", file=self.err)
         self.record(10, "runtime-budget", "PASS" if ok else "FAIL", measured, t)
 

@@ -274,6 +274,19 @@ class TestExitCodes:
         assert main(["sum", "--kind", "mobius", "--limit", "2e9"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_is_usage_error(self, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sum", "--kind", "mobius", "--limit", "100", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_output_into_missing_directory_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.csv"
+        assert main(["sum", "--kind", "mobius", "--limit", "100", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summatoria.errors import DomainError
-from summatoria.kernels import FunctionKind, sieve_values
+from summatoria.errors import DomainError, ResourceError
+from summatoria.kernels import FunctionKind, ValueTable, sieve_values
 from summatoria.moments import (
     covariance_gap,
     grid_sum_ratio,
@@ -19,7 +19,7 @@ from summatoria.moments import (
     second_moment_decomposition,
     sum_of_squares,
 )
-from summatoria.series import SummatorySeries, accumulate
+from summatoria.series import _FLOAT_EXACT_LIMIT, SummatorySeries, accumulate
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +154,7 @@ class TestSumOfSquares:
     def test_float_kind(self):
         t = sieve_values(FunctionKind.CHEBYSHEV_THETA_TERM, 1, 500)
         want = math.fsum(t.values * t.values)
-        assert sum_of_squares(FunctionKind.CHEBYSHEV_THETA_TERM, 500, segment_size=77) == pytest.approx(
-            want, rel=1e-14
-        )
+        assert sum_of_squares(FunctionKind.CHEBYSHEV_THETA_TERM, 500, segment_size=77) == want
 
 
 class TestLagCovariance:
@@ -198,6 +196,12 @@ class TestLagCovariance:
         t = sieve_values(FunctionKind.CHEBYSHEV_PSI_TERM, 1, 2000)
         lc = lag_covariance(t, 2, (1, 2000))
         assert abs(lc.corr) <= 1 + 1e-12
+
+    def test_float_table_beyond_exact_limit_refused(self):
+        lo = _FLOAT_EXACT_LIMIT - 5
+        t = ValueTable(FunctionKind.CHEBYSHEV_THETA_TERM, lo, lo + 9, np.zeros(10))
+        with pytest.raises(ResourceError):
+            lag_covariance(t, 1, (lo, lo + 9))
 
 
 class TestAdjacentPrimes:
@@ -277,7 +281,31 @@ class TestMomentScan:
         reports = moment_scan(FunctionKind.CHEBYSHEV_PSI_TERM, 3000, segment_size=450)
         values = sieve_values(FunctionKind.CHEBYSHEV_PSI_TERM, 1, 3000).values
         for r in reports[-4:]:
-            assert r.sum_S == pytest.approx(math.fsum(values[: r.n]), abs=1e-10)
-            assert r.sum_Q == pytest.approx(math.fsum((values * values)[: r.n]), abs=1e-10)
+            assert r.sum_S == math.fsum(values[: r.n])
+            assert r.sum_Q == math.fsum((values * values)[: r.n])
             f2, diag, cross = r.decomposition
             assert f2 == pytest.approx(diag + cross, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", [FunctionKind.CHEBYSHEV_PSI_TERM,
+                                      FunctionKind.CHEBYSHEV_THETA_TERM], ids=lambda k: k.label)
+    def test_dense_float_scan_matches_fsum_prefixes(self, kind):
+        n = 3000
+        values = sieve_values(kind, 1, n).values
+        reports = moment_scan(kind, n, "all", segment_size=701)
+        assert [r.sum_S for r in reports] == [math.fsum(values[:k]) for k in range(1, n + 1)]
+        squares = values * values
+        assert [r.sum_Q for r in reports] == [math.fsum(squares[:k]) for k in range(1, n + 1)]
+
+    @pytest.mark.parametrize("kind", list(FunctionKind), ids=lambda k: k.label)
+    def test_helpers_are_views_of_the_scan(self, kind):
+        reports = moment_scan(kind, 1500, [2, 97, 640, 1499])
+        sparse = accumulate(kind, 1500, [1500])
+        for r in reports:
+            assert sum_of_squares(kind, r.n, segment_size=211) == r.sum_Q
+            assert grid_sum_ratio(sparse, r.n) == r.grid_ratio
+            assert covariance_gap(sparse, r.n, segment_size=211) == r.covariance_gap
+            assert second_moment_decomposition(sparse, r.n) == r.decomposition
+
+    def test_float_scan_beyond_exact_limit_refused(self):
+        with pytest.raises(ResourceError):
+            moment_scan(FunctionKind.CHEBYSHEV_PSI_TERM, _FLOAT_EXACT_LIMIT + 1)

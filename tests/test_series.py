@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from summatoria.errors import DomainError, ResourceError
 from summatoria.kernels import FunctionKind, sieve_values
 from summatoria.series import (
+    _FLOAT_EXACT_LIMIT,
+    DEFAULT_MAX_LIMIT,
     DeviationSeries,
     MeanModel,
     SummatorySeries,
@@ -167,7 +169,7 @@ class TestValueAt:
         dense = accumulate(FunctionKind.CHEBYSHEV_THETA_TERM, 2000, "all")
         sparse = accumulate(FunctionKind.CHEBYSHEV_THETA_TERM, 2000, [2000])
         got = value_at(sparse, 1234, segment_size=300)
-        assert got == pytest.approx(float(dense.sums[1233]), abs=1e-9)
+        assert got == float(dense.sums[1233])
 
 
 class TestParityBalanceConsistency:
@@ -201,4 +203,45 @@ class TestFloatAccuracy:
         values = sieve_values(FunctionKind.CHEBYSHEV_PSI_TERM, 1, limit).values
         for n, s in series.checkpoints[-6:]:
             exact = math.fsum(values[:n])
-            assert abs(s - exact) < 1e-9, (n, s, exact)
+            assert s == exact, (n, s, exact)
+
+    def test_psi_plan_independent(self):
+        geometric = accumulate(FunctionKind.CHEBYSHEV_PSI_TERM, 10**5)
+        dense = accumulate(FunctionKind.CHEBYSHEV_PSI_TERM, 10**5, "all")
+        assert dense.sums[geometric.ns - 1].tobytes() == geometric.sums.tobytes()
+
+    @pytest.mark.parametrize("kind", [FunctionKind.CHEBYSHEV_PSI_TERM,
+                                      FunctionKind.CHEBYSHEV_THETA_TERM], ids=lambda k: k.label)
+    def test_random_prefixes_match_fsum_for_any_segmentation(self, kind):
+        limit = 30000
+        values = sieve_values(kind, 1, limit).values
+        ns = np.random.default_rng(7).choice(np.arange(1, limit), 50, replace=False)
+        want = [math.fsum(values[:n]) for n in sorted(ns)] + [math.fsum(values)]
+        for segment_size, threads in ((1 << 22, 1), (997, 1), (4096, 3)):
+            series = accumulate(kind, limit, ns, segment_size=segment_size, threads=threads)
+            assert series.sums.tolist() == want
+        sparse = accumulate(kind, limit, [limit])
+        assert [value_at(sparse, int(n), segment_size=613) for n in sorted(ns)] == want[:-1]
+
+
+class TestFloatExactRange:
+    """The fixed-point limbs cannot overflow int64 up to _FLOAT_EXACT_LIMIT."""
+
+    def test_bound_covers_default_max_limit(self):
+        assert _FLOAT_EXACT_LIMIT >= DEFAULT_MAX_LIMIT
+
+    def test_limb_bounds_at_the_limit(self):
+        n = _FLOAT_EXACT_LIMIT
+        log_n = math.log(n)
+        # a square (log p)^2 scaled by 2**54 fits int64
+        assert log_n**2 * 2**54 < 2**63
+        # high limbs of S and Q; psi(x) < 1.03883 x (Rosser-Schoenfeld)
+        assert 1.03883 * n * 2**(53 - 29) < 2**62
+        assert 1.03883 * n * log_n * 2**(54 - 29) < 2**62
+
+    @pytest.mark.parametrize("kind", [FunctionKind.CHEBYSHEV_PSI_TERM,
+                                      FunctionKind.CHEBYSHEV_THETA_TERM], ids=lambda k: k.label)
+    def test_float_kinds_refuse_beyond_the_limit(self, kind):
+        limit = _FLOAT_EXACT_LIMIT + 1
+        with pytest.raises(ResourceError):
+            accumulate(kind, limit, max_limit=limit)
