@@ -176,18 +176,13 @@ def cmd_sieve(args) -> int:
             raise DomainError("--binary needs --output")
         save(args.output, table)
         return 0
+    values = table.values.tolist()
     if args.format == "csv":
-        lines = ["k,f"]
-        for k, v in zip(range(table.lo, table.hi + 1), table.values):
-            lines.append(f"{k},{_num(table.kind, v)}")
-        _emit("\n".join(lines) + "\n", args.output)
+        cells = values if table.kind.is_integer_valued else map(fmt12, values)
+        rows = "\n".join(map("{},{}".format, range(table.lo, table.hi + 1), cells))
+        _emit(f"k,f\n{rows}\n", args.output)
     else:
-        doc = {
-            "kind": table.kind.label,
-            "lo": table.lo,
-            "hi": table.hi,
-            "values": [_json_num(table.kind, v) for v in table.values],
-        }
+        doc = {"kind": table.kind.label, "lo": table.lo, "hi": table.hi, "values": values}
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 

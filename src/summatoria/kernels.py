@@ -5,6 +5,15 @@ prime indicator, and the two Chebyshev log-terms (the summands of psi and
 theta), plus a trial-division factorization oracle used to cross-validate
 the sieves.
 
+Each kind has its own segment kernel and does only the work it needs, in
+two stages: factor_profile walks the primes p <= sqrt(hi) once, and
+values_from_profile finishes the values. Mobius and Liouville keep an int8
+sign and an int64 smooth part, the product of the small primes seen (with
+multiplicity for Liouville); where it falls short of k, the cofactor is one
+prime > sqrt(hi) and flips the sign once more. The prime indicator is a
+segmented Eratosthenes mask, theta puts log k at its primes, and psi also
+puts log p at the prime powers p**j. No step divides.
+
 All integer-valued kernels are computed with exact integer arithmetic; the
 Chebyshev terms are double-precision natural logarithms of exact primes.
 A table sieved over [lo, hi] is identical whether the enclosing range was
@@ -16,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -152,15 +160,6 @@ class Factorization:
         return all(m == 1 for _, m in self.factors)
 
 
-class FactorProfile(NamedTuple):
-    """Per-k factor statistics for one sieved interval (internal)."""
-
-    omega: np.ndarray       # uint8, prime factors with multiplicity
-    distinct: np.ndarray    # uint8, distinct prime factors
-    squarefree: np.ndarray  # bool
-    spf: np.ndarray         # int64, smallest prime factor (0 at k = 1)
-
-
 def primes_upto(limit: int) -> np.ndarray:
     """Ascending primes <= limit via a plain Eratosthenes sieve."""
     if limit < 2:
@@ -173,66 +172,84 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def factor_profile(lo: int, hi: int) -> FactorProfile:
-    """Sieve factor statistics for every k in [lo, hi].
+def factor_profile(lo: int, hi: int, kind: FunctionKind) -> tuple[np.ndarray, ...]:
+    """Sieve what one kind needs to know about every k in [lo, hi].
 
-    Divides out each prime p <= sqrt(hi) power by power across the segment;
-    whatever remains above 1 afterwards is a single prime > sqrt(hi). The
-    result depends only on (lo, hi), never on any enclosing segmentation.
+    Walks the primes p <= sqrt(hi) once, with a strided slice update or two
+    per prime or prime power, and never divides:
+
+    - mobius: (sign, smooth). sign flips at each multiple of p and is zeroed
+      at each multiple of p**2; smooth, the product of the primes seen, is
+      multiplied by p at each multiple of p.
+    - liouville: (sign, smooth) with a flip and a multiply at every multiple
+      of every prime power p**j, so smooth is the sqrt(hi)-smooth part of k.
+    - prime-indicator and theta: (prime,), a segmented Eratosthenes mask.
+    - psi: (prime, at, of), the mask plus the offsets from lo of the
+      prime powers p**j (j >= 2) in [lo, hi] and their primes.
+
+    The result depends only on (lo, hi, kind), never on any enclosing
+    segmentation.
     """
     n = hi - lo + 1
-    omega = np.zeros(n, dtype=np.uint8)
-    distinct = np.zeros(n, dtype=np.uint8)
-    squarefree = np.ones(n, dtype=bool)
-    spf = np.zeros(n, dtype=np.int64)
-    remaining = np.arange(lo, hi + 1, dtype=np.int64)
-
-    for p in primes_upto(math.isqrt(hi)):
-        p = int(p)
-        start = lo + (-lo) % p
-        if start > hi:
-            continue
-        sl = slice(start - lo, n, p)
-        remaining[sl] //= p
-        omega[sl] += 1
-        distinct[sl] += 1
-        view = spf[sl]
-        view[view == 0] = p
+    base = primes_upto(math.isqrt(hi))
+    if kind is FunctionKind.MOBIUS or kind is FunctionKind.LIOUVILLE:
+        every_power = kind is FunctionKind.LIOUVILLE
+        sign = np.ones(n, dtype=np.int8)
+        smooth = np.ones(n, dtype=np.int64)
+        for p in base.tolist():
+            pk = p
+            while pk <= hi:
+                sl = slice((-lo) % pk, None, pk)
+                if pk > p and not every_power:
+                    sign[sl] = 0  # p**2 divides k
+                    break
+                view = sign[sl]
+                np.negative(view, out=view)
+                view = smooth[sl]
+                view *= p
+                pk *= p
+        return sign, smooth
+    prime = np.ones(n, dtype=bool)
+    if lo == 1:
+        prime[0] = False
+    for p in base.tolist():
+        prime[max(p * p, lo + (-lo) % p) - lo :: p] = False
+    if kind is not FunctionKind.CHEBYSHEV_PSI_TERM:
+        return (prime,)
+    at, of = [], []
+    for p in base.tolist():
         pk = p * p
         while pk <= hi:
-            start = lo + (-lo) % pk
-            sl = slice(start - lo, n, pk)
-            remaining[sl] //= p
-            omega[sl] += 1
-            squarefree[sl] = False
+            if pk >= lo:
+                at.append(pk - lo)
+                of.append(p)
             pk *= p
-
-    tail = remaining > 1
-    omega[tail] += 1
-    distinct[tail] += 1
-    np.copyto(spf, remaining, where=tail & (spf == 0))
-    return FactorProfile(omega, distinct, squarefree, spf)
+    return prime, np.array(at, dtype=np.int64), np.array(of, dtype=np.int64)
 
 
-def values_from_profile(kind: FunctionKind, lo: int, hi: int, profile: FactorProfile) -> np.ndarray:
-    """Materialize one kind's values from sieved factor statistics."""
-    omega, distinct, squarefree, spf = profile
-    if kind is FunctionKind.MOBIUS:
-        signs = (1 - 2 * (distinct.astype(np.int8) & 1)).astype(np.int8)
-        return np.where(squarefree, signs, np.int8(0)).astype(np.int8)
-    if kind is FunctionKind.LIOUVILLE:
-        return (1 - 2 * (omega.astype(np.int8) & 1)).astype(np.int8)
+def values_from_profile(kind: FunctionKind, lo: int, hi: int, profile: tuple) -> np.ndarray:
+    """Finish one kind's values from its sieved profile.
+
+    Where the smooth part of k falls short of k, the cofactor is a single
+    prime > sqrt(hi), which flips the mobius and liouville sign once more.
+    The Chebyshev terms are log k at the primes, and psi adds log p at the
+    higher prime powers p**j.
+    """
+    if kind is FunctionKind.MOBIUS or kind is FunctionKind.LIOUVILLE:
+        sign, smooth = profile
+        tail = (smooth != np.arange(lo, hi + 1, dtype=np.int64)).view(np.int8)
+        sign *= 1 - 2 * tail
+        return sign
     if kind is FunctionKind.PRIME_INDICATOR:
-        return (omega == 1).astype(np.int8)
-    if kind is FunctionKind.CHEBYSHEV_PSI_TERM:
-        mask = distinct == 1
-    elif kind is FunctionKind.CHEBYSHEV_THETA_TERM:
-        mask = omega == 1
-    else:
+        return profile[0].view(np.int8)
+    if kind not in (FunctionKind.CHEBYSHEV_PSI_TERM, FunctionKind.CHEBYSHEV_THETA_TERM):
         raise DomainError(f"unknown function kind {kind!r}")
     out = np.zeros(hi - lo + 1, dtype=np.float64)
-    idx = np.nonzero(mask)[0]
-    out[idx] = np.log(spf[idx].astype(np.float64))
+    idx = np.flatnonzero(profile[0])
+    out[idx] = np.log((idx + lo).astype(np.float64))
+    if kind is FunctionKind.CHEBYSHEV_PSI_TERM:
+        _, at, of = profile
+        out[at] = np.log(of.astype(np.float64))
     return out
 
 
@@ -248,11 +265,13 @@ def sieve_values(
     Args:
         kind: which arithmetic function to evaluate.
         lo, hi: interval bounds, 1 <= lo <= hi.
-        max_segment: refuse intervals longer than this many entries.
+        max_segment: refuse intervals longer than this many entries, and
+            hi past max_segment**2.
 
     Raises:
         DomainError: lo < 1 or hi < lo.
-        ResourceError: interval longer than max_segment.
+        ResourceError: interval longer than max_segment, or sqrt(hi) above it
+            (the base-prime sieve would need that many entries).
     """
     if lo < 1:
         raise DomainError(f"sieve lower bound must be >= 1, got {lo}")
@@ -262,7 +281,11 @@ def sieve_values(
         raise ResourceError(
             f"interval [{lo}, {hi}] has {hi - lo + 1} entries, above the cap of {max_segment}"
         )
-    profile = factor_profile(lo, hi)
+    if math.isqrt(hi) > max_segment:
+        raise ResourceError(
+            f"sieving up to {hi} needs the primes up to {math.isqrt(hi)}, above the cap of {max_segment}"
+        )
+    profile = factor_profile(lo, hi, kind)
     return ValueTable(kind, lo, hi, values_from_profile(kind, lo, hi, profile))
 
 

@@ -203,6 +203,20 @@ def _cumsum0(terms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _between(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """int64 sums of terms[counts[i - 1]:counts[i]] (from 0 for i = 0).
+
+    counts must be nondecreasing; an empty stretch sums to 0, where
+    reduceat alone would return the term at its start.
+    """
+    out = np.zeros(len(counts), dtype=np.int64)
+    starts = np.concatenate(([0], counts[:-1]))
+    filled = starts < counts
+    if filled.any():
+        out[filled] = np.add.reduceat(terms[: counts[-1]], starts[filled], dtype=np.int64)
+    return out
+
+
 class _ExactRun:
     """An exact running sum of a stream of terms, read out at term counts.
 
@@ -219,9 +233,9 @@ class _ExactRun:
     def add(self, terms: np.ndarray, counts) -> np.ndarray:
         """Append terms; return the running sum after counts[i] of them."""
         if self.scale is None:
-            cum = _cumsum0(terms)
-            out = self.total + cum[counts]
-            self.total += int(cum[-1])
+            out = np.cumsum(_between(terms, counts), dtype=np.int64)
+            out += self.total
+            self.total += int(terms.sum(dtype=np.int64))
             return out
         x = np.ldexp(terms, self.scale).astype(np.int64)
         hi, lo = _cumsum0(x >> _LIMB), _cumsum0(x & _LIMB_MASK)

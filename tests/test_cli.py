@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import time
 from importlib import resources
 
 import jsonschema
@@ -81,6 +82,14 @@ class TestSieveCommand:
         doc = json.loads(out.read_text())
         check("sieve", doc)
         assert doc["values"] == [1, -1, -1, 1, -1, 1, -1, -1, 1, 1, -1, -1]
+
+    def test_float_csv_rows(self, tmp_path):
+        out = tmp_path / "psi.csv"
+        code, _ = run_cli("sieve", "--kind", "psi", "--lo", "7", "--hi", "10", output=out)
+        assert code == 0
+        want = ["k,f", f"7,{fmt12(math.log(7))}", f"8,{fmt12(math.log(2))}",
+                f"9,{fmt12(math.log(3))}", "10,0"]
+        assert out.read_text() == "\n".join(want) + "\n"
 
     def test_binary_round_trip(self, tmp_path):
         out = tmp_path / "theta.sumf"
@@ -272,6 +281,12 @@ class TestExitCodes:
 
     def test_resource_error_exits_three(self, capsys):
         assert main(["sum", "--kind", "mobius", "--limit", "2e9"]) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_sieve_past_the_base_prime_cap_exits_three_at_once(self, capsys):
+        t0 = time.monotonic()
+        assert main(["sieve", "--kind", "mobius", "--lo", "1e18", "--hi", "1e18"]) == 3
+        assert time.monotonic() - t0 < 1.0
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-3"])

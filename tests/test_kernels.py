@@ -1,10 +1,13 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from summatoria import kernels
 from summatoria.errors import CorruptionError, DomainError, ResourceError
 from summatoria.kernels import (
     KIND_BY_LABEL,
@@ -23,6 +26,23 @@ INT_KINDS = [k for k in ALL_KINDS if k.is_integer_valued]
 
 def oracle_value(kind, n):
     return pointwise_from_factorization(kind, factor_oracle(n))
+
+
+def assert_matches_oracle(lo, hi, ks=None):
+    """Every kind's sieve over [lo, hi] equals the oracle at ks (default: all k).
+
+    Float kinds are compared bitwise, as int64 views.
+    """
+    ks = range(lo, hi + 1) if ks is None else ks
+    tables = {kind: sieve_values(kind, lo, hi).values for kind in ALL_KINDS}
+    for k in ks:
+        fact = factor_oracle(k)
+        for kind, values in tables.items():
+            got = values[k - lo : k - lo + 1]
+            want = np.array([pointwise_from_factorization(kind, fact)], dtype=kind.dtype)
+            if not kind.is_integer_valued:
+                got, want = got.view(np.int64), want.view(np.int64)
+            assert got[0] == want[0], (kind.label, k)
 
 
 class TestSieveExamples:
@@ -114,6 +134,37 @@ class TestOracleEquivalence:
             assert t.value_at(n) == oracle_value(kind, n)
 
 
+class TestBeyondTheSmallOracle:
+    """Windows far above 10**5, checked against trial division at sampled k."""
+
+    @pytest.mark.parametrize("lo", [10**9 - 2000, 10**12 - 2000, 10**12 + 39],
+                             ids=["1e9", "1e12", "prime-1e12+39"])
+    def test_sampled_window(self, lo):
+        hi = lo + 4095
+        ks = sorted(set(random.Random(lo).sample(range(lo, hi + 1), 24)) | {lo, hi})
+        assert_matches_oracle(lo, hi, ks)
+
+    @pytest.mark.parametrize("p", [int(primes_upto(31623)[-1]), 999983])
+    def test_windows_around_a_large_prime_square(self, p):
+        sq = p * p
+        for lo, hi in [(sq - 2, sq - 1), (sq - 1, sq), (sq, sq + 1)]:
+            assert_matches_oracle(lo, hi)
+
+
+class TestWindowEdges:
+    """lo or hi on p**2, p**2 +- 1, and the first or last multiple of p."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 313])
+    def test_every_k_matches_the_oracle(self, p):
+        windows = []
+        for edge in (p * p - 1, p * p, p * p + 1):
+            windows += [(edge, edge + 2 * p), (max(1, edge - 2 * p), edge)]
+        first = 1000 * p
+        windows += [(first, first + 3 * p), (first + 1, first + 3 * p - 1)]
+        for lo, hi in windows:
+            assert_matches_oracle(lo, hi)
+
+
 class TestSegmentIndependence:
     @given(st.integers(min_value=1, max_value=9999))
     @settings(max_examples=25, deadline=None)
@@ -172,6 +223,13 @@ class TestErrorsAndEdges:
         with pytest.raises(ResourceError):
             sieve_values(FunctionKind.MOBIUS, 1, 100, max_segment=50)
 
+    def test_base_primes_beyond_the_cap_rejected(self):
+        with pytest.raises(ResourceError):
+            sieve_values(FunctionKind.MOBIUS, 10**18, 10**18)
+        with pytest.raises(ResourceError):
+            sieve_values(FunctionKind.MOBIUS, 121, 121, max_segment=10)
+        assert sieve_values(FunctionKind.MOBIUS, 120, 120, max_segment=10).value_at(120) == 0
+
     def test_value_at_bounds(self):
         t = sieve_values(FunctionKind.MOBIUS, 10, 20)
         assert t.value_at(10) == oracle_value(FunctionKind.MOBIUS, 10)
@@ -201,3 +259,18 @@ def test_primes_upto_small():
     assert primes_upto(1).tolist() == []
     assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_upto(10**6)) == 78498
+
+
+def test_sieve_values_reaches_every_stage_through_module_globals(monkeypatch):
+    # The benchmark's traced pass times these stages by rebinding them on the
+    # module, so sieve_values must look each one up there on every call.
+    calls = Counter()
+    for name in ("factor_profile", "values_from_profile", "primes_upto"):
+        def counted(*args, _real=getattr(kernels, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(kernels, name, counted)
+    for kind in ALL_KINDS:
+        sieve_values(kind, 10, 100)
+    assert calls == {name: len(ALL_KINDS) for name in
+                     ("factor_profile", "values_from_profile", "primes_upto")}

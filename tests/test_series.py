@@ -13,6 +13,7 @@ from summatoria.series import (
     DeviationSeries,
     MeanModel,
     SummatorySeries,
+    _between,
     accumulate,
     deviation_series,
     geometric_ladder,
@@ -141,6 +142,22 @@ class TestPrefixAdditivity:
         series = accumulate(FunctionKind.MOBIUS, 4000)
         gap = sieve_values(FunctionKind.MOBIUS, a + 1, b).values if a < b else np.array([], dtype=np.int8)
         assert value_at(series, b) - value_at(series, a) == int(gap.astype(np.int64).sum())
+
+
+class TestIntegerReadout:
+    def test_stretch_sums_with_empty_and_repeated_counts(self):
+        terms = np.array([1, -1, 1, 1, 0, -1], dtype=np.int8)
+        assert _between(terms, np.array([], dtype=np.int64)).tolist() == []
+        assert _between(terms, np.array([0, 2, 2, 6])).tolist() == [0, 0, 0, 1]
+        assert _between(terms, np.array([3, 3])).tolist() == [1, 0]
+
+    @given(st.lists(st.integers(0, 40), max_size=8), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_stretch_sums_match_a_cumsum(self, counts, length):
+        terms = np.resize(np.array([1, -1, 0, 1, 1], dtype=np.int8), length)
+        counts = np.array(sorted(c for c in counts if c <= length), dtype=np.int64)
+        cum = np.concatenate(([0], np.cumsum(terms, dtype=np.int64)))
+        assert np.cumsum(_between(terms, counts)).tolist() == cum[counts].tolist()
 
 
 class TestValueAt:
