@@ -4,12 +4,12 @@ File layout, all little-endian:
 
     offset  size  field
     0       4     magic "SUMF"
-    4       4     format version, u32 (currently 1)
+    4       4     format version, u32 (currently 2)
     8       1     kind tag (FunctionKind value, 0..4)
     9       1     payload tag: 0 = value table, 1 = summatory series
     10      8     lo, u64 (series store 1)
     18      8     hi, u64 (series store the limit)
-    26      8     FNV-1a 64-bit checksum of the payload bytes
+    26      8     checksum: BLAKE2b-64 of the payload, keyed on bytes 0..25
     34      ...   payload
 
 Value-table payloads are the raw values, i8 for the ±1/0 kinds and f64 for
@@ -19,11 +19,18 @@ pure function of the artifact.
 
 Loads re-check everything: magic, version, tags, checksum (integrity
 errors, naming the offending field), then the reconstructed artifact's own
-type invariants (corruption errors).
+type invariants (corruption errors). Because the checksum covers the header
+fields as well as the payload, a changed byte anywhere in the file is an
+integrity error. Version 1 files (FNV-1a over the payload only) fail the
+version check.
+
+Saves write a temporary file next to the target and rename it into place,
+so a reader sees either the old file or the new one, never a partial write.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from pathlib import Path
@@ -35,7 +42,7 @@ from .kernels import FunctionKind, ValueTable
 from .series import SummatorySeries
 
 MAGIC = b"SUMF"
-VERSION = 1
+VERSION = 2
 HEADER = struct.Struct("<4sIBBQQQ")
 
 PAYLOAD_VALUE_TABLE = 0
@@ -43,58 +50,19 @@ PAYLOAD_SERIES = 1
 
 ENV_CACHE_DIR = "SUMMATORIA_CACHE"
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-#: Payloads at or above this many bytes use the compiled hash when available.
-_FAST_HASH_BYTES = 1 << 20
-
-_fnv_fast = None
-_fnv_fast_checked = False
+#: The checksum slot; the digest is keyed on the header bytes before it.
+CHECKSUM_OFFSET = 26
 
 
-def _fnv1a_py(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h ^= b
-        h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
+def fnv1a64(data, key: bytes = b"") -> int:
+    """BLAKE2b-64 of data, keyed on key, as a little-endian integer.
 
-
-def _get_fnv_fast():
-    """The numba-compiled hash loop, or None if numba is unavailable."""
-    global _fnv_fast, _fnv_fast_checked
-    if _fnv_fast_checked:
-        return _fnv_fast
-    _fnv_fast_checked = True
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-
-    @njit(cache=True)
-    def _loop(arr):  # pragma: no cover - compiled
-        h = np.uint64(_FNV_OFFSET)
-        p = np.uint64(_FNV_PRIME)
-        for i in range(arr.shape[0]):
-            h = np.uint64(h ^ np.uint64(arr[i])) * p
-        return h
-
-    _fnv_fast = _loop
-    return _fnv_fast
-
-
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash of a byte string.
-
-    Byte-at-a-time in pure Python for small inputs; large inputs use a
-    numba-compiled loop when numba is importable. Both paths compute the
-    same function.
+    This is the format's checksum. It replaced the version 1 FNV-1a hash
+    and keeps that function's name, so callers and instrumentation that
+    bind ``fnv1a64`` still find it. save and load call it through this
+    module global.
     """
-    if len(data) >= _FAST_HASH_BYTES:
-        fast = _get_fnv_fast()
-        if fast is not None:
-            return int(fast(np.frombuffer(data, dtype=np.uint8)))
-    return _fnv1a_py(data)
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8, key=key).digest(), "little")
 
 
 def _payload_bytes(artifact) -> tuple[int, int, int, bytes]:
@@ -113,14 +81,25 @@ def _payload_bytes(artifact) -> tuple[int, int, int, bytes]:
 
 
 def save(path, artifact: ValueTable | SummatorySeries) -> None:
-    """Write one artifact to path in the header-plus-payload format."""
+    """Write one artifact to path in the header-plus-payload format.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces path in one rename; on failure path is left as it was.
+    """
     kind_tag, payload_tag, (lo, hi), payload = _payload_bytes(artifact)
-    header = HEADER.pack(MAGIC, VERSION, kind_tag, payload_tag, lo, hi, fnv1a64(payload))
+    fields = (MAGIC, VERSION, kind_tag, payload_tag, lo, hi)
+    checksum = fnv1a64(payload, HEADER.pack(*fields, 0)[:CHECKSUM_OFFSET])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(HEADER.pack(*fields, checksum))
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load(path) -> ValueTable | SummatorySeries:
@@ -146,10 +125,12 @@ def load(path) -> ValueTable | SummatorySeries:
         raise IntegrityError(f"kind_tag: unknown value {kind_tag}") from None
     if payload_tag not in (PAYLOAD_VALUE_TABLE, PAYLOAD_SERIES):
         raise IntegrityError(f"payload_tag: unknown value {payload_tag}")
-    payload = raw[HEADER.size :]
-    actual = fnv1a64(payload)
+    payload = memoryview(raw)[HEADER.size :]
+    actual = fnv1a64(payload, raw[:CHECKSUM_OFFSET])
     if actual != checksum:
-        raise IntegrityError(f"checksum: header says {checksum:#018x}, payload hashes to {actual:#018x}")
+        raise IntegrityError(
+            f"checksum: header says {checksum:#018x}, header and payload hash to {actual:#018x}"
+        )
 
     if payload_tag == PAYLOAD_VALUE_TABLE:
         code = "<i1" if kind.is_integer_valued else "<f8"
@@ -190,5 +171,10 @@ def artifact_filename(artifact: ValueTable | SummatorySeries) -> str:
     if isinstance(artifact, ValueTable):
         return f"{artifact.kind.label}-table-{artifact.lo}-{artifact.hi}.sumf"
     if isinstance(artifact, SummatorySeries):
-        return f"{artifact.kind.label}-series-1-{artifact.limit}.sumf"
+        return series_filename(artifact.kind, artifact.limit)
     raise DomainError(f"cannot name a {type(artifact).__name__}")
+
+
+def series_filename(kind: FunctionKind, limit: int) -> str:
+    """Cache filename of the series of kind up to limit, whatever its checkpoints."""
+    return f"{kind.label}-series-1-{limit}.sumf"

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .cache import ENV_CACHE_DIR, artifact_filename, load, save
+from .cache import ENV_CACHE_DIR, load, save, series_filename
 from .errors import DomainError, ResourceError, SummatoriaError
 from .kernels import KIND_BY_LABEL, FunctionKind, sieve_values
 from .moments import moment_scan, prime_adjacent_joint
@@ -32,6 +32,7 @@ from .scaling import (
 )
 from .series import (
     MeanModel,
+    SummatorySeries,
     accumulate,
     deviation_series,
     geometric_ladder,
@@ -151,22 +152,43 @@ def _json_num(kind: FunctionKind, v):
 
 
 def _try_cached_series(cache_dir, kind, limit, cps, threads):
-    """Load a cached series matching the checkpoint plan, else build and save."""
-    path = None
-    if cache_dir:
-        fname = f"{kind.label}-series-1-{limit}.sumf"
-        path = Path(cache_dir) / fname
-        if path.exists():
-            try:
-                cached = load(path)
-                if cached.kind is kind and cached.limit == limit and np.array_equal(cached.ns, cps):
-                    return cached
-            except SummatoriaError as exc:
-                print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
-    series = accumulate(kind, limit, cps, threads=threads)
-    if path is not None:
-        save(path, series)
-    return series
+    """The series at checkpoints cps, through the cache directory if one is set.
+
+    A directory holds one series file per (kind, limit). Any checkpoint set
+    that file covers is served from it. Otherwise the union of its
+    checkpoints and cps is built and saved, so plans that alternate at one
+    limit stop overwriting each other's file.
+    """
+    if not cache_dir:
+        return accumulate(kind, limit, cps, threads=threads)
+    path = Path(cache_dir) / series_filename(kind, limit)
+    plan = cps
+    if path.exists():
+        try:
+            stored = load(path)
+        except SummatoriaError as exc:
+            print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
+        else:
+            if isinstance(stored, SummatorySeries) and stored.kind is kind and stored.limit == limit:
+                served = _restrict(stored, cps)
+                if served is not None:
+                    return served
+                plan = np.union1d(stored.ns, cps)
+            else:
+                print(f"warning: cache file {path} does not match, rebuilding", file=sys.stderr)
+    series = accumulate(kind, limit, plan, threads=threads)
+    save(path, series)
+    return _restrict(series, cps)
+
+
+def _restrict(series: SummatorySeries, cps) -> SummatorySeries | None:
+    """series at exactly the checkpoints cps, or None if it lacks one of them."""
+    idx = np.minimum(np.searchsorted(series.ns, cps), len(series.ns) - 1)
+    if not np.array_equal(series.ns[idx], cps):
+        return None
+    if len(idx) == len(series.ns):
+        return series
+    return SummatorySeries(series.kind, series.limit, series.ns[idx], series.sums[idx])
 
 
 def cmd_sieve(args) -> int:
@@ -309,7 +331,6 @@ def cmd_verify(args) -> int:
     outcome = verify_mod.run_suite(
         limit=args.limit,
         threads=args.threads,
-        cache_dir=args.cache_dir,
         err=sys.stderr,
     )
     if args.format == "csv":

@@ -16,7 +16,7 @@ def suite_outcome():
 
     err = io.StringIO()
     t0 = time.monotonic()
-    outcome = run_suite(limit=10**6, threads=2, cache_dir=None, err=err)
+    outcome = run_suite(limit=10**6, threads=2, err=err)
     elapsed = time.monotonic() - t0
     return outcome, elapsed, err.getvalue()
 

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from summatoria.cache import (
+    CHECKSUM_OFFSET,
     HEADER,
     MAGIC,
     VERSION,
@@ -14,36 +16,26 @@ from summatoria.cache import (
     fnv1a64,
     load,
     save,
-    _fnv1a_py,
-    _get_fnv_fast,
+    series_filename,
 )
 from summatoria.errors import CorruptionError, DomainError, IntegrityError
 from summatoria.kernels import FunctionKind, ValueTable, sieve_values
 from summatoria.series import SummatorySeries, accumulate
 
 
-class TestFnv1a:
-    # published test vectors for the 64-bit variant
+class TestChecksum:
+    # BLAKE2b with an 8-byte digest; the header slot stores the digest bytes
+    # as they come, so the integer is the digest read little-endian
     VECTORS = [
-        (b"", 0xCBF29CE484222325),
-        (b"a", 0xAF63DC4C8601EC8C),
-        (b"foobar", 0x85944171F73967E8),
+        (b"", b"", 0xB4B2797457A0A6E4),
+        (b"a", b"", 0x2F42665B399EF840),
+        (b"foobar", b"", 0xF9514A257F2F219D),
+        (b"foobar", b"SUMF", 0x88B3B24FB15C2952),
     ]
 
     def test_known_vectors(self):
-        for data, expect in self.VECTORS:
-            assert fnv1a64(data) == expect
-            assert _fnv1a_py(data) == expect
-
-    def test_fast_path_agrees_with_pure_python(self):
-        fast = _get_fnv_fast()
-        if fast is None:
-            pytest.skip("numba not importable, only the pure path exists")
-        rng = np.random.default_rng(7)
-        blob = rng.integers(0, 256, size=(1 << 20) + 13, dtype=np.uint8).tobytes()
-        assert int(fast(np.frombuffer(blob, dtype=np.uint8))) == _fnv1a_py(blob)
-        # the dispatching wrapper picks the fast path at this size
-        assert fnv1a64(blob) == _fnv1a_py(blob)
+        for data, key, expect in self.VECTORS:
+            assert fnv1a64(data, key) == expect
 
 
 class TestByteLayout:
@@ -56,10 +48,11 @@ class TestByteLayout:
         assert raw[HEADER.size:] == payload
         magic, version, kind_tag, payload_tag, lo, hi, checksum = HEADER.unpack_from(raw)
         assert magic == MAGIC == b"SUMF"
-        assert version == VERSION == 1
+        assert version == VERSION == 2
         assert (kind_tag, payload_tag) == (0, 0)
         assert (lo, hi) == (1, 8)
-        assert checksum == fnv1a64(payload)
+        assert CHECKSUM_OFFSET == 26
+        assert checksum == fnv1a64(payload, raw[:26])
         assert len(raw) == HEADER.size + 8 == 42
 
     def test_series_payload_is_pairs(self, tmp_path):
@@ -119,9 +112,10 @@ class TestRoundTrip:
 
 def _write_file(path, kind_tag, payload_tag, lo, hi, payload, checksum=None, magic=MAGIC,
                 version=VERSION):
+    fields = (magic, version, kind_tag, payload_tag, lo, hi)
     if checksum is None:
-        checksum = fnv1a64(payload)
-    path.write_bytes(HEADER.pack(magic, version, kind_tag, payload_tag, lo, hi, checksum) + payload)
+        checksum = fnv1a64(payload, HEADER.pack(*fields, 0)[:CHECKSUM_OFFSET])
+    path.write_bytes(HEADER.pack(*fields, checksum) + payload)
 
 
 class TestIntegrity:
@@ -171,6 +165,67 @@ class TestIntegrity:
         with pytest.raises(IntegrityError, match="header says 0x"):
             load(path)
 
+    def test_any_changed_header_byte_is_detected(self, tmp_path):
+        # the checksum is keyed on bytes 0..25, so kind, tag, lo and hi are
+        # covered as well as the payload
+        path = tmp_path / "h.sumf"
+        save(path, sieve_values(FunctionKind.MOBIUS, 1, 64))
+        raw = path.read_bytes()
+        missed = []
+        for offset in range(HEADER.size):
+            for mask in (0x01, 0x80, 0xFF):
+                buf = bytearray(raw)
+                buf[offset] ^= mask
+                path.write_bytes(bytes(buf))
+                try:
+                    load(path)
+                except IntegrityError:
+                    continue
+                except Exception:
+                    pass
+                missed.append((offset, mask))
+        assert HEADER.size == 34
+        assert missed == []
+
+    def test_version_1_file_names_version(self, tmp_path):
+        payload = sieve_values(FunctionKind.MOBIUS, 1, 8).values.astype("<i1").tobytes()
+        path = tmp_path / "v1.sumf"
+        path.write_bytes(HEADER.pack(MAGIC, 1, 0, 0, 1, 8, _fnv1a_v1(payload)) + payload)
+        with pytest.raises(IntegrityError, match="version"):
+            load(path)
+
+
+def _fnv1a_v1(data: bytes) -> int:
+    """The FNV-1a 64-bit payload checksum of format version 1."""
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+class TestAtomicSave:
+    def test_failed_replace_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.sumf"
+        save(path, sieve_values(FunctionKind.MOBIUS, 1, 100))
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            save(path, sieve_values(FunctionKind.LIOUVILLE, 1, 200))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.sumf"]
+
+    def test_save_over_an_existing_file(self, tmp_path):
+        path = tmp_path / "t.sumf"
+        save(path, sieve_values(FunctionKind.MOBIUS, 1, 100))
+        save(path, sieve_values(FunctionKind.LIOUVILLE, 1, 200))
+        back = load(path)
+        assert back.kind is FunctionKind.LIOUVILLE and back.hi == 200
+        assert [p.name for p in tmp_path.iterdir()] == ["t.sumf"]
+
 
 class TestCorruption:
     def test_liouville_zero_with_valid_checksum(self, tmp_path):
@@ -217,6 +272,7 @@ class TestNamesAndDirs:
         assert artifact_filename(table) == "mobius-table-1-8.sumf"
         series = accumulate(FunctionKind.LIOUVILLE, 100)
         assert artifact_filename(series) == "liouville-series-1-100.sumf"
+        assert series_filename(FunctionKind.LIOUVILLE, 100) == "liouville-series-1-100.sumf"
         with pytest.raises(DomainError):
             artifact_filename("not an artifact")
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import struct
 import time
 from importlib import resources
 
@@ -8,9 +9,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+from summatoria import cli as cli_mod
 from summatoria.cache import load
 from summatoria.cli import fmt12, main, parse_kind, parse_ladder, parse_limit
 from summatoria.kernels import FunctionKind, sieve_values
+from summatoria.series import accumulate, resolve_checkpoints
 
 
 def run_cli(*argv, output=None):
@@ -28,6 +31,19 @@ def schema_for(name):
 
 def check(name, doc):
     jsonschema.validate(doc, schema_for(name))
+
+
+def count_builds(monkeypatch):
+    """Record every series the CLI builds with accumulate."""
+    builds = []
+    real = cli_mod.accumulate
+
+    def counted(*args, **kwargs):
+        builds.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "accumulate", counted)
+    return builds
 
 
 class TestFmt12:
@@ -170,6 +186,62 @@ class TestSumCommand:
         assert out1.read_bytes() == out3.read_bytes()
         # the rebuild also repaired the cache file
         assert load(cached).final_sum == -46
+
+
+    @pytest.mark.parametrize("kind", ["mobius", "psi"])
+    def test_alternating_plans_share_one_series_file(self, kind, tmp_path, monkeypatch):
+        plans = ("all", "geometric", "all", "1.5", "geometric")
+        expect = {}
+        for plan in set(plans):
+            out = tmp_path / f"ref-{plan}.csv"
+            assert run_cli("sum", "--kind", kind, "--limit", "3000", "--ladder", plan,
+                           output=out)[0] == 0
+            expect[plan] = out.read_bytes()
+
+        builds = count_builds(monkeypatch)
+        cache = tmp_path / "cache"
+        for i, plan in enumerate(plans):
+            out = tmp_path / f"run-{i}.csv"
+            assert run_cli("sum", "--kind", kind, "--limit", "3000", "--ladder", plan,
+                           "--cache-dir", cache, output=out)[0] == 0
+            assert out.read_bytes() == expect[plan], plan
+        # "all" covers every later plan, so only the first run builds
+        assert len(builds) == 1
+        assert [p.name for p in cache.iterdir()] == [f"{kind}-series-1-3000.sumf"]
+
+    def test_uncovered_plan_stores_the_union(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        builds = count_builds(monkeypatch)
+        for plan in ("geometric", "7,11,13", "geometric", "11,7"):
+            assert run_cli("sum", "--kind", "liouville", "--limit", "500", "--ladder", plan,
+                           "--cache-dir", cache, output=tmp_path / "r.csv")[0] == 0
+            assert (tmp_path / "r.csv").read_text().splitlines()[1:] == [
+                f"{n},{s}" for n, s in accumulate(FunctionKind.LIOUVILLE, 500, parse_ladder(plan))
+                .checkpoints
+            ]
+        assert len(builds) == 2
+        stored = load(cache / "liouville-series-1-500.sumf")
+        expect = np.union1d(resolve_checkpoints(500, "geometric"), [7, 11, 13])
+        assert np.array_equal(stored.ns, expect)
+
+    def test_version_1_cache_file_is_rebuilt(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        out1 = tmp_path / "r1.csv"
+        assert run_cli("sum", "--kind", "theta", "--limit", "4000",
+                       "--cache-dir", cache, output=out1)[0] == 0
+        cached = cache / "theta-series-1-4000.sumf"
+        raw = bytearray(cached.read_bytes())
+        struct.pack_into("<I", raw, 4, 1)  # a file written by format version 1
+        cached.write_bytes(bytes(raw))
+        capsys.readouterr()
+
+        out2 = tmp_path / "r2.csv"
+        assert run_cli("sum", "--kind", "theta", "--limit", "4000",
+                       "--cache-dir", cache, output=out2)[0] == 0
+        err = capsys.readouterr().err
+        assert "warning: ignoring cache file" in err and "version" in err
+        assert out1.read_bytes() == out2.read_bytes()
+        assert struct.unpack_from("<I", cached.read_bytes(), 4) == (2,)
 
 
 class TestStatsCommand:
