@@ -2,8 +2,9 @@
 
 The package sieves five pointwise arithmetic functions (Mobius, Liouville,
 the prime indicator, and the two Chebyshev log-terms), accumulates their
-summatory series with exact or compensated arithmetic, and measures the
-moment, scaling, and dependence behaviour of the resulting deviations.
+summatory series exactly (64-bit integers for the ±1/0 kinds, correctly
+rounded sums for the Chebyshev log-terms), and measures the moment,
+scaling, and dependence behaviour of the resulting deviations.
 """
 
 from .cache import fnv1a64, load, save

@@ -158,23 +158,6 @@ def load(path) -> ValueTable | SummatorySeries:
         raise CorruptionError(f"series rejected: {exc}") from exc
 
 
-def default_cache_dir() -> Path:
-    """SUMMATORIA_CACHE if set, else a per-user cache directory."""
-    env = os.environ.get(ENV_CACHE_DIR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "summatoria"
-
-
-def artifact_filename(artifact: ValueTable | SummatorySeries) -> str:
-    """Canonical cache filename for an artifact."""
-    if isinstance(artifact, ValueTable):
-        return f"{artifact.kind.label}-table-{artifact.lo}-{artifact.hi}.sumf"
-    if isinstance(artifact, SummatorySeries):
-        return series_filename(artifact.kind, artifact.limit)
-    raise DomainError(f"cannot name a {type(artifact).__name__}")
-
-
 def series_filename(kind: FunctionKind, limit: int) -> str:
     """Cache filename of the series of kind up to limit, whatever its checkpoints."""
     return f"{kind.label}-series-1-{limit}.sumf"

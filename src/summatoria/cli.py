@@ -280,11 +280,11 @@ def cmd_scaling(args) -> int:
     dev = deviation_series(series, MeanModel(0.0))
     phi = SlowGrowthSpec.from_name(args.phi)
 
+    # Both end at the limit, so every ladder point has an index in series.ns.
     ladder = geometric_ladder(args.limit)
     idx = np.searchsorted(series.ns, ladder)
-    fit_ns = ladder[(idx < len(series.ns)) & (series.ns[np.minimum(idx, len(series.ns) - 1)] == ladder)]
-    fit_idx = np.searchsorted(series.ns, fit_ns)
-    samples = [(int(n), abs(float(dev.deviations[i]))) for n, i in zip(fit_ns, fit_idx)]
+    hit = series.ns[idx] == ladder
+    samples = [(int(n), abs(float(dev.deviations[i]))) for n, i in zip(ladder[hit], idx[hit])]
     fit = fit_exponent(samples)
     envelope = normalized_envelope(dev)
     coverage = chebyshev_bound_coverage(dev, phi)

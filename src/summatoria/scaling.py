@@ -58,7 +58,6 @@ class SlowGrowthSpec:
 
     name: str
     evaluator: Callable
-    epsilon: float | None = None
 
     @staticmethod
     def from_name(name: str) -> "SlowGrowthSpec":
@@ -81,12 +80,9 @@ class SlowGrowthSpec:
             e = float(arg)
             if not e > 0:
                 raise DomainError(f"pow phi exponent must be positive, got {e}")
-            return SlowGrowthSpec(f"pow:{e:g}", lambda n, e=e: np.asarray(n, dtype=np.float64) ** e,
-                                  epsilon=e)
+            return SlowGrowthSpec(f"pow:{e:g}",
+                                  lambda n, e=e: np.asarray(n, dtype=np.float64) ** e)
         raise DomainError(f"unknown phi name {name!r}")
-
-
-PHI_MENU = ("log", "log2", "loglog", "const", "pow")
 
 
 @dataclass(frozen=True)

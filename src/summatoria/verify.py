@@ -1,9 +1,15 @@
 """One-shot verification suite behind the `verify` subcommand.
 
-Ten numbered criteria, each printing PASS / FAIL / SKIP to stderr with its
-measured values and elapsed time. The machine-readable report (CSV or JSON)
+Ten numbered criteria, declared once in CRITERIA; run_suite runs each,
+prints PASS / FAIL / SKIP to stderr with its measured values and elapsed
+time, and collects the results. The machine-readable report (CSV or JSON)
 contains only deterministic fields, never timings, so two runs of
 `verify --limit 1e6` emit byte-identical reports regardless of threads.
+
+The suite is a client of the package: the second moments that criteria 2
+and 4 check are read from moment_scan, the same reducer the `stats`
+subcommand reports, and criterion 1 compares the sieves with one
+trial-division pass through pointwise_from_factorization.
 
 Criteria whose thresholds were frozen at the default scale (10**6) switch
 to SKIP below that scale: the measured values are still reported, but an
@@ -32,9 +38,15 @@ from .kernels import (
     pointwise_from_factorization,
     sieve_values,
 )
-from .moments import lag_covariance, moment_scan, prime_adjacent_joint
-from .scaling import SlowGrowthSpec, chebyshev_bound_coverage, normalized_envelope
-from .series import MeanModel, accumulate, deviation_series, geometric_ladder
+from .moments import (
+    lag_covariance,
+    moment_scan,
+    pair_product_counts,
+    parity_counts,
+    prime_adjacent_joint,
+)
+from .scaling import normalized_envelope
+from .series import MeanModel, accumulate, deviation_series
 
 FULL_SCALE = 10**6
 ORACLE_SCALE = 10**5
@@ -89,7 +101,7 @@ def fmt12(x) -> str:
 
 
 class _Suite:
-    """Shared state for one verification run."""
+    """Shared state for one verification run; each criterion returns (status, measured)."""
 
     def __init__(self, limit: int, threads: int, err):
         self.limit = limit
@@ -97,7 +109,6 @@ class _Suite:
         self.full = limit >= FULL_SCALE
         self.threads = max(1, threads)
         self.err = err
-        self.results: list[CriterionResult] = []
         self.t0 = time.monotonic()
 
         n = self.scale
@@ -106,17 +117,10 @@ class _Suite:
         self.t_pri = sieve_values(FunctionKind.PRIME_INDICATOR, 1, n)
         self.mob_prefix = np.cumsum(self.t_mob.values, dtype=np.int64)
         self.lam_prefix = np.cumsum(self.t_lam.values, dtype=np.int64)
-        self.ladder = geometric_ladder(n)
+        self.scans = {kind: moment_scan(kind, n, "geometric")
+                      for kind in (FunctionKind.MOBIUS, FunctionKind.LIOUVILLE)}
 
-    def record(self, number: int, name: str, status: str, measured: str, t_start: float) -> None:
-        elapsed = time.monotonic() - t_start
-        self.results.append(CriterionResult(number, name, status, measured))
-        print(f"{status:4s} {number:2d} {name}  {measured}  ({elapsed:.2f}s)", file=self.err)
-
-    # -- criteria ---------------------------------------------------------
-
-    def c1_oracle_equivalence(self) -> None:
-        t = time.monotonic()
+    def oracle_equivalence(self):
         n_max = min(self.limit, ORACLE_SCALE)
         tables = {
             FunctionKind.MOBIUS: self.t_mob.values,
@@ -129,57 +133,43 @@ class _Suite:
                 FunctionKind.CHEBYSHEV_THETA_TERM, 1, n_max
             ).values,
         }
-        mismatches = 0
+        expected = [(kind, np.empty(n_max, dtype=kind.dtype)) for kind in tables]
         for n in range(1, n_max + 1):
             fact = factor_oracle(n)
-            for kind, values in tables.items():
-                expect = pointwise_from_factorization(kind, fact)
-                got = values[n - 1]
-                if kind.is_integer_valued:
-                    if int(got) != expect:
-                        mismatches += 1
-                elif float(got) != expect:
-                    mismatches += 1
+            for kind, out in expected:
+                out[n - 1] = pointwise_from_factorization(kind, fact)
+        mismatches = sum(int(np.count_nonzero(out != tables[kind][:n_max]))
+                         for kind, out in expected)
         status = "PASS" if mismatches == 0 else "FAIL"
-        self.record(1, "oracle-equivalence", status,
-                    f"checked={n_max} kinds=5 mismatches={mismatches}", t)
+        return status, f"checked={n_max} kinds=5 mismatches={mismatches}"
 
-    def c2_exact_identities(self) -> None:
-        t = time.monotonic()
+    def exact_identities(self):
         bad = 0
         points = 0
-        for kind, table, prefix in (
-            (FunctionKind.MOBIUS, self.t_mob, self.mob_prefix),
-            (FunctionKind.LIOUVILLE, self.t_lam, self.lam_prefix),
-        ):
-            plus = np.cumsum(table.values == 1, dtype=np.int64)
-            minus = np.cumsum(table.values == -1, dtype=np.int64)
-            reports = moment_scan(kind, self.scale, "geometric")
-            for r in reports:
+        for table, prefix in ((self.t_mob, self.mob_prefix), (self.t_lam, self.lam_prefix)):
+            for r in self.scans[table.kind]:
                 points += 1
-                i = r.n - 1
-                n_plus, n_minus = int(plus[i]), int(minus[i])
+                counts = parity_counts(table, r.n)
+                pairs = pair_product_counts(counts)
                 s, q = r.sum_S, r.sum_Q
                 f2, diag, cross = r.decomposition
                 ok = (
-                    s == int(prefix[i])
-                    and s == n_plus - n_minus
-                    and q == n_plus + n_minus
+                    s == int(prefix[r.n - 1])
+                    and s == counts.n_plus - counts.n_minus
+                    and q == counts.n_plus + counts.n_minus
                     and f2 == diag + cross
                     and f2 == s * s
                     and diag == q
-                    and (n_plus + n_minus) ** 2
-                    == n_plus**2 + n_minus**2 + 2 * n_plus * n_minus
+                    and f2 == pairs.n_pp + pairs.n_mm - pairs.n_pm - pairs.n_mp
                 )
                 if not ok:
                     bad += 1
-        status = "PASS" if bad == 0 else "FAIL"
-        self.record(2, "exact-identities", status,
-                    f"ladder_points={points} violations={bad}", t)
+        return "PASS" if bad == 0 else "FAIL", f"ladder_points={points} violations={bad}"
 
-    def c3_cross_sum_decay(self) -> None:
-        t = time.monotonic()
+    def cross_sum_decay(self):
         n_hi = self.scale
+        if n_hi < 2:
+            return "SKIP", "note=needs-limit>=2"
         n_lo = max(2, n_hi // 1000)
         parts = []
         ok = True
@@ -193,43 +183,28 @@ class _Suite:
                 ok = False
         measured = f"n_lo={n_lo} n_hi={n_hi} " + " ".join(parts)
         if not self.full:
-            self.record(3, "cross-sum-decay", "SKIP", measured + " note=thresholds-frozen-at-1e6", t)
-            return
-        self.record(3, "cross-sum-decay", "PASS" if ok else "FAIL", measured, t)
+            return "SKIP", measured + " note=thresholds-frozen-at-1e6"
+        return "PASS" if ok else "FAIL", measured
 
-    def c4_pair_average_decay(self) -> None:
-        t = time.monotonic()
-        points = self.ladder[(self.ladder >= 100)]
-        if len(points) == 0:
-            self.record(4, "pair-average-decay", "SKIP", "note=no-ladder-points-above-100", t)
-            return
-        worst = 0.0
-        for kind, prefix in ((FunctionKind.MOBIUS, self.mob_prefix),
-                             (FunctionKind.LIOUVILLE, self.lam_prefix)):
-            if kind is FunctionKind.MOBIUS:
-                q_prefix = np.cumsum(self.t_mob.values != 0, dtype=np.int64)
-            else:
-                q_prefix = None
-            for n in points:
-                n = int(n)
-                s = int(prefix[n - 1])
-                q = n if q_prefix is None else int(q_prefix[n - 1])
-                gap = (s * s - q) / (n * (n - 1)) - (s / n) ** 2
-                worst = max(worst, n * abs(gap))
+    def pair_average_decay(self):
+        gaps = [r.n * abs(r.covariance_gap)
+                for scan in self.scans.values() for r in scan if r.n >= 100]
+        if not gaps:
+            return "SKIP", "note=no-ladder-points-above-100"
+        worst = max(gaps)
         zeros = np.nonzero(self.lam_prefix == 0)[0]
         anchor_ok = True
         anchor_n = None
         if len(zeros):
             anchor_n = int(zeros[-1]) + 1
-            gap = (0 - anchor_n) / (anchor_n * (anchor_n - 1)) - 0.0
+            gap = moment_scan(FunctionKind.LIOUVILLE, anchor_n, [anchor_n])[-1].covariance_gap
             anchor_ok = gap == -1.0 / (anchor_n - 1)
         ok = worst <= 2.0 and anchor_ok
         measured = (f"max_n_times_gap={fmt12(worst)} anchor_n={anchor_n} "
                     f"anchor_exact={'yes' if anchor_ok else 'no'}")
-        self.record(4, "pair-average-decay", "PASS" if ok else "FAIL", measured, t)
+        return "PASS" if ok else "FAIL", measured
 
-    def c5_sqrt_envelope(self) -> None:
-        t = time.monotonic()
+    def sqrt_envelope(self):
         roots = np.sqrt(np.arange(1, self.scale + 1, dtype=np.float64))
         parts = []
         ok = True
@@ -239,13 +214,11 @@ class _Suite:
             parts.append(f"{label}_max={fmt12(ratios[i])} {label}_argmax={i + 1}")
             if not ratios[i] <= 1.5:
                 ok = False
-        self.record(5, "sqrt-envelope", "PASS" if ok else "FAIL", " ".join(parts), t)
+        return "PASS" if ok else "FAIL", " ".join(parts)
 
-    def c6_growth_bound_coverage(self) -> None:
-        t = time.monotonic()
+    def growth_bound_coverage(self):
         if self.scale < 10:
-            self.record(6, "growth-bound-coverage", "SKIP", "note=needs-limit>=10", t)
-            return
+            return "SKIP", "note=needs-limit>=10"
         ns = np.arange(2, self.scale + 1, dtype=np.float64)
         bound_log = np.sqrt(ns) * np.log(ns)
         bound_small = np.sqrt(ns) * 0.01
@@ -258,13 +231,11 @@ class _Suite:
             parts.append(f"{label}_log={fmt12(frac_log)} {label}_const0.01={fmt12(frac_small)}")
             if frac_log != 1.0 or not frac_small < 1.0:
                 ok = False
-        self.record(6, "growth-bound-coverage", "PASS" if ok else "FAIL", " ".join(parts), t)
+        return "PASS" if ok else "FAIL", " ".join(parts)
 
-    def c7_adjacent_prime_dependence(self) -> None:
-        t = time.monotonic()
+    def adjacent_prime_dependence(self):
         if self.scale < 5:
-            self.record(7, "adjacent-prime-dependence", "SKIP", "note=needs-limit>=5", t)
-            return
+            return "SKIP", "note=needs-limit>=5"
         stats = prime_adjacent_joint(self.scale, table=self.t_pri)
         lc_prime = lag_covariance(self.t_pri, 1, (3, self.scale))
         lc_lam = lag_covariance(self.t_lam, 1, (3, self.scale))
@@ -272,17 +243,13 @@ class _Suite:
         measured = (f"joint={fmt12(stats.joint)} product={fmt12(stats.product)} "
                     f"corr_prime={fmt12(lc_prime.corr)} corr_liouville={fmt12(lc_lam.corr)} "
                     f"factor={fmt12(factor) if factor != math.inf else 'inf'}")
-        base_ok = stats.joint == 0.0 and stats.product > 0.0
+        ok = stats.joint == 0.0 and stats.product > 0.0
         if not self.full:
-            status = "PASS" if base_ok else "FAIL"
-            self.record(7, "adjacent-prime-dependence", status,
-                        measured + " note=factor-threshold-frozen-at-1e6", t)
-            return
-        ok = base_ok and factor >= 5.0
-        self.record(7, "adjacent-prime-dependence", "PASS" if ok else "FAIL", measured, t)
+            return "PASS" if ok else "FAIL", measured + " note=factor-threshold-frozen-at-1e6"
+        ok = ok and factor >= 5.0
+        return "PASS" if ok else "FAIL", measured
 
-    def c8_thread_determinism(self) -> None:
-        t = time.monotonic()
+    def thread_determinism(self):
         many = max(2, self.threads)
         a = accumulate(FunctionKind.MOBIUS, self.scale, "geometric", threads=1)
         b = accumulate(FunctionKind.MOBIUS, self.scale, "geometric", threads=many)
@@ -297,10 +264,9 @@ class _Suite:
         print(f"info: rebuilt series with 1 and {many} worker threads", file=self.err)
         measured = (f"integer_series_equal={'yes' if ints_equal else 'no'} "
                     f"float_series_bitwise_equal={'yes' if floats_equal else 'no'}")
-        self.record(8, "thread-determinism", "PASS" if ok else "FAIL", measured, t)
+        return "PASS" if ok else "FAIL", measured
 
-    def c9_cache_integrity(self) -> None:
-        t = time.monotonic()
+    def cache_integrity(self):
         rng = random.Random(0x5EED)
         tmp = Path(tempfile.mkdtemp(prefix="summatoria-verify-"))
         kinds = list(FunctionKind)
@@ -352,12 +318,11 @@ class _Suite:
                     pass
             ok = round_trips == 100 and detected == 100
             measured = f"round_trips={round_trips}/100 fuzz_detected={detected}/100"
-            self.record(9, "cache-integrity", "PASS" if ok else "FAIL", measured, t)
+            return "PASS" if ok else "FAIL", measured
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
 
-    def c10_runtime_budget(self) -> None:
-        t = time.monotonic()
+    def runtime_budget(self):
         measured_extra = ""
         budget = BUDGET_S
         if self.limit > FULL_SCALE:
@@ -370,24 +335,34 @@ class _Suite:
                             f"{kind.label}_ladder_argmax={env.argmax_n}")
             measured_extra = " " + " ".join(envs)
         elapsed = time.monotonic() - self.t0
-        ok = elapsed <= budget
-        measured = f"budget_s={fmt12(budget)}{measured_extra}"
         print(f"info: total elapsed {elapsed:.2f}s against budget {budget:.0f}s", file=self.err)
-        self.record(10, "runtime-budget", "PASS" if ok else "FAIL", measured, t)
+        measured = f"budget_s={fmt12(budget)}{measured_extra}"
+        return "PASS" if elapsed <= budget else "FAIL", measured
+
+
+CRITERIA = (
+    (1, "oracle-equivalence", _Suite.oracle_equivalence),
+    (2, "exact-identities", _Suite.exact_identities),
+    (3, "cross-sum-decay", _Suite.cross_sum_decay),
+    (4, "pair-average-decay", _Suite.pair_average_decay),
+    (5, "sqrt-envelope", _Suite.sqrt_envelope),
+    (6, "growth-bound-coverage", _Suite.growth_bound_coverage),
+    (7, "adjacent-prime-dependence", _Suite.adjacent_prime_dependence),
+    (8, "thread-determinism", _Suite.thread_determinism),
+    (9, "cache-integrity", _Suite.cache_integrity),
+    (10, "runtime-budget", _Suite.runtime_budget),
+)
 
 
 def run_suite(limit: int = FULL_SCALE, threads: int = 1, err=None) -> VerifyOutcome:
     """Run all ten criteria and return the deterministic outcome."""
     err = err if err is not None else sys.stderr
     suite = _Suite(limit, threads, err)
-    suite.c1_oracle_equivalence()
-    suite.c2_exact_identities()
-    suite.c3_cross_sum_decay()
-    suite.c4_pair_average_decay()
-    suite.c5_sqrt_envelope()
-    suite.c6_growth_bound_coverage()
-    suite.c7_adjacent_prime_dependence()
-    suite.c8_thread_determinism()
-    suite.c9_cache_integrity()
-    suite.c10_runtime_budget()
-    return VerifyOutcome(limit, suite.results)
+    results = []
+    for number, name, method in CRITERIA:
+        t = time.monotonic()
+        status, measured = method(suite)
+        print(f"{status:4s} {number:2d} {name}  {measured}  ({time.monotonic() - t:.2f}s)",
+              file=err)
+        results.append(CriterionResult(number, name, status, measured))
+    return VerifyOutcome(limit, results)

@@ -11,8 +11,6 @@ from summatoria.cache import (
     HEADER,
     MAGIC,
     VERSION,
-    artifact_filename,
-    default_cache_dir,
     fnv1a64,
     load,
     save,
@@ -268,22 +266,7 @@ class TestCorruption:
 
 class TestNamesAndDirs:
     def test_artifact_filenames(self):
-        table = sieve_values(FunctionKind.MOBIUS, 1, 8)
-        assert artifact_filename(table) == "mobius-table-1-8.sumf"
-        series = accumulate(FunctionKind.LIOUVILLE, 100)
-        assert artifact_filename(series) == "liouville-series-1-100.sumf"
         assert series_filename(FunctionKind.LIOUVILLE, 100) == "liouville-series-1-100.sumf"
-        with pytest.raises(DomainError):
-            artifact_filename("not an artifact")
-
-    def test_env_var_overrides_cache_dir(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("SUMMATORIA_CACHE", str(tmp_path / "elsewhere"))
-        assert default_cache_dir() == tmp_path / "elsewhere"
-
-    def test_default_cache_dir_under_home(self, monkeypatch):
-        monkeypatch.delenv("SUMMATORIA_CACHE", raising=False)
-        d = default_cache_dir()
-        assert d.name == "summatoria"
 
     def test_unsupported_artifact_rejected(self, tmp_path):
         with pytest.raises(DomainError):

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from summatoria import cli as cli_mod
+from summatoria import verify as verify_mod
 from summatoria.cache import load
 from summatoria.cli import fmt12, main, parse_kind, parse_ladder, parse_limit
-from summatoria.kernels import FunctionKind, sieve_values
+from summatoria.kernels import FunctionKind, ValueTable, sieve_values
 from summatoria.series import accumulate, resolve_checkpoints
 
 
@@ -243,6 +244,13 @@ class TestSumCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert struct.unpack_from("<I", cached.read_bytes(), 4) == (2,)
 
+    def test_cache_dir_defaults_to_env_var(self, tmp_path, monkeypatch):
+        cache = tmp_path / "elsewhere"
+        monkeypatch.setenv("SUMMATORIA_CACHE", str(cache))
+        assert run_cli("sum", "--kind", "mobius", "--limit", "100",
+                       output=tmp_path / "r.csv")[0] == 0
+        assert [p.name for p in cache.iterdir()] == ["mobius-series-1-100.sumf"]
+
 
 class TestStatsCommand:
     def test_csv_with_prime_adjacent_footer(self, tmp_path):
@@ -318,14 +326,41 @@ class TestScalingCommand:
 
 class TestVerifyCommand:
     def test_small_scale_run_matches_schema(self, tmp_path):
-        out = tmp_path / "v.json"
-        code, _ = run_cli("verify", "--limit", "1000", "--format", "json", output=out)
+        for limit in ("1", "2", "5", "1000"):
+            out = tmp_path / f"v-{limit}.json"
+            code, _ = run_cli("verify", "--limit", limit, "--format", "json", output=out)
+            assert code == 0, limit
+            doc = json.loads(out.read_text())
+            check("verify", doc)
+            assert doc["all_passed"] is True
+            assert [c["criterion"] for c in doc["criteria"]] == list(range(1, 11))
+            statuses = {c["status"] for c in doc["criteria"]}
+            assert statuses <= {"PASS", "SKIP"}
+
+    def test_cross_sum_decay_skips_below_two(self, tmp_path):
+        out = tmp_path / "v.csv"
+        code, _ = run_cli("verify", "--limit", "1", output=out)
         assert code == 0
-        doc = json.loads(out.read_text())
-        check("verify", doc)
-        assert doc["all_passed"] is True
-        statuses = {c["status"] for c in doc["criteria"]}
-        assert statuses <= {"PASS", "SKIP"}
+        assert '3,cross-sum-decay,SKIP,"note=needs-limit>=2"' in out.read_text().splitlines()
+
+    def test_one_ulp_sieve_error_fails_oracle_equivalence(self, tmp_path, monkeypatch):
+        real = verify_mod.sieve_values
+
+        def nudged(kind, lo, hi, *args, **kwargs):
+            table = real(kind, lo, hi, *args, **kwargs)
+            if kind is not FunctionKind.CHEBYSHEV_PSI_TERM or lo != 1 or hi < 7:
+                return table
+            values = table.values.copy()
+            values[6] = np.nextafter(values[6], np.inf)  # the log 7 term
+            return ValueTable(kind, lo, hi, values)
+
+        monkeypatch.setattr(verify_mod, "sieve_values", nudged)
+        out = tmp_path / "v.csv"
+        code, _ = run_cli("verify", "--limit", "1000", output=out)
+        assert code == 1
+        rows = out.read_text().splitlines()
+        assert rows[1] == '1,oracle-equivalence,FAIL,"checked=1000 kinds=5 mismatches=1"'
+        assert all(",FAIL," not in row for row in rows[2:])
 
     def test_csv_header(self, tmp_path):
         out = tmp_path / "v.csv"
