@@ -4,7 +4,10 @@ The package sieves five pointwise arithmetic functions (Mobius, Liouville,
 the prime indicator, and the two Chebyshev log-terms), accumulates their
 summatory series exactly (64-bit integers for the ±1/0 kinds, correctly
 rounded sums for the Chebyshev log-terms), and measures the moment,
-scaling, and dependence behaviour of the resulting deviations.
+scaling, and dependence behaviour of the resulting deviations. Sieved
+values can be checked against trial division: factor_oracle factors one
+n, trial_division_counts every k in [1, n] at once, and values_from_counts
+maps the FactorCounts of either to the five kinds.
 """
 
 from .cache import fnv1a64, load, save
@@ -16,13 +19,15 @@ from .errors import (
     SummatoriaError,
 )
 from .kernels import (
+    FactorCounts,
     Factorization,
     FunctionKind,
     ValueTable,
     factor_oracle,
-    pointwise_from_factorization,
     primes_upto,
     sieve_values,
+    trial_division_counts,
+    values_from_counts,
 )
 from .moments import (
     AdjacentPrimeStats,
@@ -68,6 +73,7 @@ __all__ = [
     "DeviationSeries",
     "DomainError",
     "ExponentFit",
+    "FactorCounts",
     "Factorization",
     "FunctionKind",
     "IntegrityError",
@@ -95,7 +101,6 @@ __all__ = [
     "normalized_envelope",
     "pair_product_counts",
     "parity_counts",
-    "pointwise_from_factorization",
     "prime_adjacent_joint",
     "primes_upto",
     "resolve_checkpoints",
@@ -104,6 +109,8 @@ __all__ = [
     "sieve_values",
     "slow_growth_check",
     "sum_of_squares",
+    "trial_division_counts",
     "value_at",
+    "values_from_counts",
     "__version__",
 ]

@@ -2,8 +2,7 @@
 
 Exact sieved kernels for the Mobius function, the Liouville function, the
 prime indicator, and the two Chebyshev log-terms (the summands of psi and
-theta), plus a trial-division factorization oracle used to cross-validate
-the sieves.
+theta), plus trial-division oracles used to cross-validate the sieves.
 
 Each kind has its own segment kernel and does only the work it needs, in
 two stages: factor_profile walks the primes p <= sqrt(hi) once, and
@@ -18,13 +17,21 @@ All integer-valued kernels are computed with exact integer arithmetic; the
 Chebyshev terms are double-precision natural logarithms of exact primes.
 A table sieved over [lo, hi] is identical whether the enclosing range was
 computed in one segment or many.
+
+The oracles share nothing with the sieves. factor_oracle factors one n by
+trial division; trial_division_counts factors every k in [1, n] at once.
+Either way the factorizations become FactorCounts (distinct primes, primes
+with multiplicity, squarefree, least prime), and values_from_counts, the
+one mapping from those counts to the five kinds, gives the values.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -323,29 +330,93 @@ def factor_oracle(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def pointwise_from_factorization(kind: FunctionKind, fact: Factorization):
-    """Evaluate one kind at fact.n straight from the factorization.
+class FactorCounts(NamedTuple):
+    """What the five kinds need to know about the factorization of each n.
 
-    Mobius: 0 unless squarefree, else (-1)**(distinct primes).
-    Liouville: (-1)**(prime factors with multiplicity).
-    Prime indicator: 1 iff exactly one prime to the first power.
-    Chebyshev psi term: log p when n is a power of the single prime p.
-    Chebyshev theta term: log n when n is prime.
+    omega counts the distinct primes and big_omega the primes with
+    multiplicity (int8), squarefree is a bool mask, and least is the least
+    prime factor, 0 at n = 1.
     """
+
+    omega: np.ndarray
+    big_omega: np.ndarray
+    squarefree: np.ndarray
+    least: np.ndarray
+
+    @classmethod
+    def of(cls, facts: Iterable[Factorization]) -> FactorCounts:
+        """The counts of a batch of scalar factorizations, in the order given."""
+        facts = list(facts)
+        return cls(
+            np.array([f.distinct for f in facts], dtype=np.int8),
+            np.array([f.big_omega for f in facts], dtype=np.int8),
+            np.array([f.is_squarefree for f in facts], dtype=bool),
+            np.array([f.factors[0][0] if f.factors else 0 for f in facts], dtype=np.int64),
+        )
+
+
+def trial_division_counts(n: int) -> FactorCounts:
+    """Factor every k in [1, n] at once by trial division.
+
+    Tries d = 2, 3 and then every 6j +- 1 with d*d <= n against the whole
+    array, dividing each hit by d for as long as d divides it; a residue
+    left above 1 is one more prime. It uses only % and // on the residues,
+    never a strided slice, the base primes or a segment kernel, so it is an
+    independent check of the sieves.
+    """
+    if n < 1:
+        raise DomainError(f"trial division needs n >= 1, got {n}")
+    if n > np.iinfo(np.int32).max:
+        raise ResourceError(f"trial division holds k in int32, and {n} does not fit")
+    m = np.arange(1, n + 1, dtype=np.int32)
+    omega = np.zeros(n, dtype=np.int8)
+    big_omega = np.zeros(n, dtype=np.int8)
+    squarefree = np.ones(n, dtype=bool)
+    least = np.zeros(n, dtype=np.int32)
+    divisors = [2, 3]
+    d = 5
+    while d * d <= n:
+        divisors += (d, d + 2)
+        d += 6
+    for d in divisors:
+        hit = np.flatnonzero(m % d == 0)
+        omega[hit] += 1
+        least[hit[least[hit] == 0]] = d
+        while hit.size:
+            m[hit] //= d
+            big_omega[hit] += 1
+            hit = hit[m[hit] % d == 0]
+            squarefree[hit] = False
+    rest = m > 1
+    omega += rest
+    big_omega += rest
+    np.copyto(least, m, where=rest & (least == 0))
+    return FactorCounts(omega, big_omega, squarefree, least)
+
+
+def values_from_counts(kind: FunctionKind, counts: FactorCounts) -> np.ndarray:
+    """Evaluate one kind at every n of a batch from its factorization counts.
+
+    Mobius: 0 unless squarefree, else (-1)**omega.
+    Liouville: (-1)**big_omega.
+    Prime indicator: 1 iff big_omega == 1.
+    Chebyshev psi term: log of the least prime where omega == 1 (a prime power).
+    Chebyshev theta term: the same where big_omega == 1 (a prime).
+    The logs are np.log of exact primes as float64, as in the sieve.
+    """
+    omega, big_omega, squarefree, least = counts
     if kind is FunctionKind.MOBIUS:
-        if not fact.is_squarefree:
-            return 0
-        return -1 if fact.distinct & 1 else 1
+        return (1 - 2 * (omega & 1)) * squarefree
     if kind is FunctionKind.LIOUVILLE:
-        return -1 if fact.big_omega & 1 else 1
+        return 1 - 2 * (big_omega & 1)
     if kind is FunctionKind.PRIME_INDICATOR:
-        return 1 if fact.big_omega == 1 else 0
+        return (big_omega == 1).view(np.int8)
     if kind is FunctionKind.CHEBYSHEV_PSI_TERM:
-        if fact.distinct == 1:
-            return float(np.log(np.float64(fact.factors[0][0])))
-        return 0.0
-    if kind is FunctionKind.CHEBYSHEV_THETA_TERM:
-        if fact.big_omega == 1:
-            return float(np.log(np.float64(fact.factors[0][0])))
-        return 0.0
-    raise DomainError(f"unknown function kind {kind!r}")
+        at = np.flatnonzero(omega == 1)
+    elif kind is FunctionKind.CHEBYSHEV_THETA_TERM:
+        at = np.flatnonzero(big_omega == 1)
+    else:
+        raise DomainError(f"unknown function kind {kind!r}")
+    out = np.zeros(len(least), dtype=np.float64)
+    out[at] = np.log(least[at].astype(np.float64))
+    return out

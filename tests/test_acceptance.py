@@ -12,10 +12,11 @@ import numpy as np
 
 from summatoria.cli import main
 from summatoria.kernels import (
+    FactorCounts,
     FunctionKind,
     factor_oracle,
-    pointwise_from_factorization,
     sieve_values,
+    values_from_counts,
 )
 from summatoria.scaling import normalized_envelope
 from summatoria.series import MeanModel, accumulate, deviation_series
@@ -40,16 +41,19 @@ def criterion(suite_outcome, number):
 def test_criterion_01_oracle_equivalence(suite_outcome):
     c = criterion(suite_outcome, 1)
     assert c.status == "PASS", c.measured
-    # independent re-run of the sweep under its own wall-clock ceiling
+    # independent re-run of the sweep through the scalar oracle, under its own
+    # wall-clock ceiling; floats are compared bitwise
     t0 = time.monotonic()
     n_max = 10**5
-    tables = {k: sieve_values(k, 1, n_max).values for k in FunctionKind}
-    for n in range(1, n_max + 1):
-        fact = factor_oracle(n)
-        for kind, values in tables.items():
-            expect = pointwise_from_factorization(kind, fact)
-            got = int(values[n - 1]) if kind.is_integer_valued else float(values[n - 1])
-            assert got == expect, f"{kind.label}({n}): sieve {got}, oracle {expect}"
+    counts = FactorCounts.of(factor_oracle(n) for n in range(1, n_max + 1))
+    for kind in FunctionKind:
+        got = sieve_values(kind, 1, n_max).values
+        expect = values_from_counts(kind, counts)
+        assert got.dtype == expect.dtype, kind.label
+        if not kind.is_integer_valued:
+            got, expect = got.view(np.int64), expect.view(np.int64)
+        bad = np.flatnonzero(got != expect)
+        assert bad.size == 0, f"{kind.label}({bad[0] + 1}): sieve and oracle differ"
     assert time.monotonic() - t0 <= 30.0
 
 

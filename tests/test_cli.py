@@ -362,6 +362,26 @@ class TestVerifyCommand:
         assert rows[1] == '1,oracle-equivalence,FAIL,"checked=1000 kinds=5 mismatches=1"'
         assert all(",FAIL," not in row for row in rows[2:])
 
+    @pytest.mark.parametrize("n", [30, 12], ids=["mu30-flipped", "mu12-nonzero"])
+    def test_integer_sieve_error_fails_oracle_equivalence(self, tmp_path, monkeypatch, n):
+        real = verify_mod.sieve_values
+
+        def planted(kind, lo, hi, *args, **kwargs):
+            table = real(kind, lo, hi, *args, **kwargs)
+            if kind is not FunctionKind.MOBIUS or lo != 1 or hi < n:
+                return table
+            values = table.values.copy()
+            assert values[n - 1] in (-1, 0)  # mu(30) = -1, mu(12) = 0
+            values[n - 1] = 1
+            return ValueTable(kind, lo, hi, values)
+
+        monkeypatch.setattr(verify_mod, "sieve_values", planted)
+        out = tmp_path / "v.csv"
+        code, _ = run_cli("verify", "--limit", "1000", output=out)
+        assert code == 1
+        rows = out.read_text().splitlines()
+        assert rows[1] == '1,oracle-equivalence,FAIL,"checked=1000 kinds=5 mismatches=1"'
+
     def test_csv_header(self, tmp_path):
         out = tmp_path / "v.csv"
         code, _ = run_cli("verify", "--limit", "1000", output=out)

@@ -11,21 +11,33 @@ from summatoria import kernels
 from summatoria.errors import CorruptionError, DomainError, ResourceError
 from summatoria.kernels import (
     KIND_BY_LABEL,
+    FactorCounts,
     Factorization,
     FunctionKind,
     ValueTable,
     factor_oracle,
-    pointwise_from_factorization,
     primes_upto,
     sieve_values,
+    trial_division_counts,
+    values_from_counts,
 )
 
 ALL_KINDS = list(FunctionKind)
 INT_KINDS = [k for k in ALL_KINDS if k.is_integer_valued]
 
 
+def bits(values):
+    """The array itself for the integer kinds, its int64 view for the float kinds."""
+    return values.view(np.int64) if values.dtype == np.float64 else values
+
+
+def oracle_values(kind, ks):
+    """The scalar oracle's values of one kind at ks, mapped in one batch."""
+    return values_from_counts(kind, FactorCounts.of(factor_oracle(k) for k in ks))
+
+
 def oracle_value(kind, n):
-    return pointwise_from_factorization(kind, factor_oracle(n))
+    return oracle_values(kind, [n]).item()
 
 
 def assert_matches_oracle(lo, hi, ks=None):
@@ -33,16 +45,15 @@ def assert_matches_oracle(lo, hi, ks=None):
 
     Float kinds are compared bitwise, as int64 views.
     """
-    ks = range(lo, hi + 1) if ks is None else ks
-    tables = {kind: sieve_values(kind, lo, hi).values for kind in ALL_KINDS}
-    for k in ks:
-        fact = factor_oracle(k)
-        for kind, values in tables.items():
-            got = values[k - lo : k - lo + 1]
-            want = np.array([pointwise_from_factorization(kind, fact)], dtype=kind.dtype)
-            if not kind.is_integer_valued:
-                got, want = got.view(np.int64), want.view(np.int64)
-            assert got[0] == want[0], (kind.label, k)
+    ks = list(range(lo, hi + 1) if ks is None else ks)
+    counts = FactorCounts.of(factor_oracle(k) for k in ks)
+    at = np.array(ks, dtype=np.int64) - lo
+    for kind in ALL_KINDS:
+        got = sieve_values(kind, lo, hi).values[at]
+        want = values_from_counts(kind, counts)
+        assert got.dtype == want.dtype, kind.label
+        bad = np.flatnonzero(bits(got) != bits(want))
+        assert bad.size == 0, (kind.label, ks[bad[0]])
 
 
 class TestSieveExamples:
@@ -118,20 +129,54 @@ class TestPointwise:
 class TestOracleEquivalence:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
     def test_first_three_thousand(self, kind):
-        table = sieve_values(kind, 1, 3000)
-        for n in range(1, 3001):
-            want = oracle_value(kind, n)
-            if kind.is_integer_valued:
-                assert table.value_at(n) == want, n
-            else:
-                assert table.value_at(n) == want, n  # same log on both paths
+        table = sieve_values(kind, 1, 3000).values
+        want = oracle_values(kind, range(1, 3001))
+        assert want.dtype == table.dtype
+        assert np.array_equal(bits(table), bits(want))  # same np.log on both paths
 
     @given(st.integers(min_value=1, max_value=10**5))
     @settings(max_examples=60, deadline=None)
     def test_random_offsets(self, n):
+        assert_matches_oracle(n, n)
+
+
+@pytest.fixture(scope="module")
+def scalar_counts():
+    """The scalar oracle's counts for every n <= 20000, in one batch."""
+    return FactorCounts.of(factor_oracle(n) for n in range(1, 20001))
+
+
+class TestTrialDivisionCounts:
+    """The whole-array oracle against the scalar one, counts and values alike."""
+
+    EDGES = sorted({1, 2, 3, 4, 20000} | {p * p + e for p in (2, 3, 5, 7, 11, 97)
+                                          for e in (-1, 0, 1)})
+
+    @pytest.mark.parametrize("n", EDGES)
+    def test_matches_the_scalar_oracle(self, scalar_counts, n):
+        counts = trial_division_counts(n)
+        scalar = FactorCounts(*(field[:n] for field in scalar_counts))
+        for name, got, want in zip(FactorCounts._fields, counts, scalar):
+            assert np.array_equal(got, want), name
         for kind in ALL_KINDS:
-            t = sieve_values(kind, n, n)
-            assert t.value_at(n) == oracle_value(kind, n)
+            got = values_from_counts(kind, counts)
+            want = values_from_counts(kind, scalar)
+            assert got.dtype == want.dtype == kind.dtype, kind.label
+            assert np.array_equal(bits(got), bits(want)), kind.label
+
+    def test_uses_no_sieve_stage(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle reached a sieve stage")
+
+        for name in ("primes_upto", "factor_profile", "values_from_profile", "sieve_values"):
+            monkeypatch.setattr(kernels, name, refuse)
+        assert int(trial_division_counts(10**4).big_omega.sum()) > 0
+
+    def test_bad_sizes_rejected(self):
+        with pytest.raises(DomainError):
+            trial_division_counts(0)
+        with pytest.raises(ResourceError):
+            trial_division_counts(2**31)  # raises before it allocates
 
 
 class TestBeyondTheSmallOracle:
@@ -205,9 +250,8 @@ class TestMultiplicativity:
     @given(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=1000))
     @settings(max_examples=200)
     def test_liouville_completely_multiplicative(self, a, b):
-        la = oracle_value(FunctionKind.LIOUVILLE, a)
-        lb = oracle_value(FunctionKind.LIOUVILLE, b)
-        assert oracle_value(FunctionKind.LIOUVILLE, a * b) == la * lb
+        la, lb, lab = oracle_values(FunctionKind.LIOUVILLE, [a, b, a * b]).tolist()
+        assert lab == la * lb
 
 
 class TestErrorsAndEdges:
