@@ -6,12 +6,24 @@ theta), plus trial-division oracles used to cross-validate the sieves.
 
 Each kind has its own segment kernel and does only the work it needs, in
 two stages: factor_profile walks the primes p <= sqrt(hi) once, and
-values_from_profile finishes the values. Mobius and Liouville keep an int8
-sign and an int64 smooth part, the product of the small primes seen (with
-multiplicity for Liouville); where it falls short of k, the cofactor is one
-prime > sqrt(hi) and flips the sign once more. The prime indicator is a
-segmented Eratosthenes mask, theta puts log k at its primes, and psi also
-puts log p at the prime powers p**j. No step divides.
+values_from_profile finishes the values. No step divides.
+
+Mobius and Liouville keep one uint16 score per entry and no product. At
+each multiple of p (Mobius) or of each prime power p**j (Liouville) the
+score gains 2*w_p + 1, with w_p = floor(256 * log2 p); Mobius sets bit 15
+where p**2 divides k, which makes it 0. So score = 2*s + c, where s sums the
+log weights and the parity of c, the primes counted, is the sign. A k <= hi
+has at most one prime factor q > sqrt(hi), which flips the sign once more,
+and s shows whether it is there. Block j holds the k with
+2**j <= k**4 < 2**(j+1), from e_j, the least k with e_j**4 >= 2**j; k has
+the cofactor q exactly when score < 2*t_j, t_j = 64*j - 115. Why that is
+exact: a sqrt(hi)-smooth k has s >= 256 * log2 k - Omega(k) >= 64*j - 52,
+since Omega(k) <= 52 below the 2**52 cap on hi; a k with q >= 2 has
+s <= 256 * (log2 k - 1) < 64*j - 192 and c <= 51. So score - 2*t_j is at
+least 126 for the first and at most -105 for the second, room enough for a
+w_p one off from float log2 in every prime factor. The prime indicator is
+a segmented Eratosthenes mask, theta puts log k at its primes, and psi also
+puts log p at the prime powers.
 
 All integer-valued kernels are computed with exact integer arithmetic; the
 Chebyshev terms are double-precision natural logarithms of exact primes.
@@ -179,17 +191,23 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def factor_profile(lo: int, hi: int, kind: FunctionKind) -> tuple[np.ndarray, ...]:
+def _tail_blocks(lo: int, hi: int):
+    """(slice of [lo, hi], t_j) per quarter-octave block j, e_j <= k < e_(j+1)."""
+    j, start = (lo**4).bit_length() - 1, lo
+    while start <= hi:
+        stop = min(math.isqrt(math.isqrt((1 << (j + 1)) - 1)) + 1, hi + 1)  # e_(j+1)
+        yield slice(start - lo, stop - lo), 64 * j - 115
+        j, start = j + 1, stop
+
+
+def factor_profile(lo: int, hi: int, kind: FunctionKind, *, primes) -> tuple[np.ndarray, ...]:
     """Sieve what one kind needs to know about every k in [lo, hi].
 
-    Walks the primes p <= sqrt(hi) once, with a strided slice update or two
-    per prime or prime power, and never divides:
+    Walks primes, the ascending primes <= sqrt(hi), once with a strided
+    slice update per prime or prime power, and never divides:
 
-    - mobius: (sign, smooth). sign flips at each multiple of p and is zeroed
-      at each multiple of p**2; smooth, the product of the primes seen, is
-      multiplied by p at each multiple of p.
-    - liouville: (sign, smooth) with a flip and a multiply at every multiple
-      of every prime power p**j, so smooth is the sqrt(hi)-smooth part of k.
+    - mobius and liouville: (score,), the uint16 log-weight score of the
+      module docstring.
     - prime-indicator and theta: (prime,), a segmented Eratosthenes mask.
     - psi: (prime, at, of), the mask plus the offsets from lo of the
       prime powers p**j (j >= 2) in [lo, hi] and their primes.
@@ -198,33 +216,29 @@ def factor_profile(lo: int, hi: int, kind: FunctionKind) -> tuple[np.ndarray, ..
     segmentation.
     """
     n = hi - lo + 1
-    base = primes_upto(math.isqrt(hi))
     if kind is FunctionKind.MOBIUS or kind is FunctionKind.LIOUVILLE:
         every_power = kind is FunctionKind.LIOUVILLE
-        sign = np.ones(n, dtype=np.int8)
-        smooth = np.ones(n, dtype=np.int64)
-        for p in base.tolist():
+        score = np.zeros(n, dtype=np.uint16)
+        weights = 2 * np.floor(256 * np.log2(primes)).astype(np.int64) + 1  # 2*w_p + 1
+        for p, w in zip(primes.tolist(), weights.tolist()):
             pk = p
             while pk <= hi:
-                sl = slice((-lo) % pk, None, pk)
+                view = score[(-lo) % pk :: pk]
                 if pk > p and not every_power:
-                    sign[sl] = 0  # p**2 divides k
+                    view |= 1 << 15  # p**2 divides k
                     break
-                view = sign[sl]
-                np.negative(view, out=view)
-                view = smooth[sl]
-                view *= p
+                view += w
                 pk *= p
-        return sign, smooth
+        return (score,)
     prime = np.ones(n, dtype=bool)
     if lo == 1:
         prime[0] = False
-    for p in base.tolist():
+    for p in primes.tolist():
         prime[max(p * p, lo + (-lo) % p) - lo :: p] = False
     if kind is not FunctionKind.CHEBYSHEV_PSI_TERM:
         return (prime,)
     at, of = [], []
-    for p in base.tolist():
+    for p in primes.tolist():
         pk = p * p
         while pk <= hi:
             if pk >= lo:
@@ -237,16 +251,21 @@ def factor_profile(lo: int, hi: int, kind: FunctionKind) -> tuple[np.ndarray, ..
 def values_from_profile(kind: FunctionKind, lo: int, hi: int, profile: tuple) -> np.ndarray:
     """Finish one kind's values from its sieved profile.
 
-    Where the smooth part of k falls short of k, the cofactor is a single
-    prime > sqrt(hi), which flips the mobius and liouville sign once more.
-    The Chebyshev terms are log k at the primes, and psi adds log p at the
-    higher prime powers p**j.
+    The mobius and liouville sign is the score's parity, flipped where the
+    score is below 2*t_j; mobius is 0 where bit 15 is set. The Chebyshev
+    terms are log k at the primes, and psi adds log p at the prime powers.
     """
     if kind is FunctionKind.MOBIUS or kind is FunctionKind.LIOUVILLE:
-        sign, smooth = profile
-        tail = (smooth != np.arange(lo, hi + 1, dtype=np.int64)).view(np.int8)
-        sign *= 1 - 2 * tail
-        return sign
+        (score,) = profile
+        out = score.astype(np.int8)  # the low byte, which holds the parity
+        out &= 1
+        for block, t in _tail_blocks(lo, hi):
+            out[block] ^= score[block] < 2 * t
+        out *= -2
+        out += 1
+        if kind is FunctionKind.MOBIUS:
+            out *= score < 1 << 15
+        return out
     if kind is FunctionKind.PRIME_INDICATOR:
         return profile[0].view(np.int8)
     if kind not in (FunctionKind.CHEBYSHEV_PSI_TERM, FunctionKind.CHEBYSHEV_THETA_TERM):
@@ -260,12 +279,22 @@ def values_from_profile(kind: FunctionKind, lo: int, hi: int, profile: tuple) ->
     return out
 
 
+def base_primes(hi: int, *, max_segment: int = DEFAULT_MAX_SEGMENT) -> np.ndarray:
+    """The primes <= sqrt(hi); ResourceError if sqrt(hi) is above max_segment."""
+    root = math.isqrt(hi)
+    if root > max_segment:
+        raise ResourceError(f"sieving up to {hi} needs the primes up to {root}, "
+                            f"above the cap of {max_segment}")
+    return primes_upto(root)
+
+
 def sieve_values(
     kind: FunctionKind,
     lo: int,
     hi: int,
     *,
     max_segment: int = DEFAULT_MAX_SEGMENT,
+    primes: np.ndarray | None = None,
 ) -> ValueTable:
     """Sieve f(k) for every k in the inclusive interval [lo, hi].
 
@@ -273,7 +302,8 @@ def sieve_values(
         kind: which arithmetic function to evaluate.
         lo, hi: interval bounds, 1 <= lo <= hi.
         max_segment: refuse intervals longer than this many entries, and
-            hi past max_segment**2.
+            hi past max_segment**2 when the primes are sieved here.
+        primes: the primes <= sqrt(hi), if shared; by default base_primes(hi).
 
     Raises:
         DomainError: lo < 1 or hi < lo.
@@ -288,11 +318,9 @@ def sieve_values(
         raise ResourceError(
             f"interval [{lo}, {hi}] has {hi - lo + 1} entries, above the cap of {max_segment}"
         )
-    if math.isqrt(hi) > max_segment:
-        raise ResourceError(
-            f"sieving up to {hi} needs the primes up to {math.isqrt(hi)}, above the cap of {max_segment}"
-        )
-    profile = factor_profile(lo, hi, kind)
+    if primes is None:
+        primes = base_primes(hi, max_segment=max_segment)
+    profile = factor_profile(lo, hi, kind, primes=primes)
     return ValueTable(kind, lo, hi, values_from_profile(kind, lo, hi, profile))
 
 
@@ -358,9 +386,10 @@ class FactorCounts(NamedTuple):
 def trial_division_counts(n: int) -> FactorCounts:
     """Factor every k in [1, n] at once by trial division.
 
-    Tries d = 2, 3 and then every 6j +- 1 with d*d <= n against the whole
-    array, dividing each hit by d for as long as d divides it; a residue
-    left above 1 is one more prime. It uses only % and // on the residues,
+    Tries d = 2, 3 and then every 6j +- 1 with d*d <= n against the live
+    entries, dividing each hit by d for as long as d divides it. An entry
+    leaves once its residue is below d*d, as it is then 1 or a prime, and a
+    residue left above 1 is one more prime. It uses only % and // on them,
     never a strided slice, the base primes or a segment kernel, so it is an
     independent check of the sieves.
     """
@@ -378,8 +407,10 @@ def trial_division_counts(n: int) -> FactorCounts:
     while d * d <= n:
         divisors += (d, d + 2)
         d += 6
+    live = np.arange(n)
     for d in divisors:
-        hit = np.flatnonzero(m % d == 0)
+        live = live[m[live] >= d * d]
+        hit = live[m[live] % d == 0]
         omega[hit] += 1
         least[hit[least[hit] == 0]] = d
         while hit.size:

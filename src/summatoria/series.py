@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .kernels import FunctionKind, sieve_values
+from .kernels import FunctionKind, base_primes, sieve_values
 
 #: Default sieve segment length for streaming accumulation.
 DEFAULT_SEGMENT = 1 << 22
@@ -174,26 +174,29 @@ def resolve_checkpoints(limit: int, plan=None) -> np.ndarray:
 
 
 def _ordered_segments(kind: FunctionKind, start: int, stop: int, segment_size: int, threads: int):
-    """Yield (lo, hi, values) per segment of [start, stop] in order, sieving ahead."""
+    """Yield (lo, hi, values) per segment of [start, stop] in order, sieving ahead.
+
+    The base primes are sieved once per walk, and each segment gets those up
+    to sqrt(hi), so its table is still the one sieve_values(kind, lo, hi) gives.
+    """
+    primes = base_primes(stop)
+
+    def sieve(lo: int, hi: int):
+        own = primes[: int(np.searchsorted(primes, math.isqrt(hi), side="right"))]
+        return lo, hi, sieve_values(kind, lo, hi, primes=own).values
+
     bounds = ((a, min(a + segment_size - 1, stop)) for a in range(start, stop + 1, segment_size))
     if threads <= 1:
-        for lo, hi in bounds:
-            yield lo, hi, sieve_values(kind, lo, hi).values
+        yield from (sieve(lo, hi) for lo, hi in bounds)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()
-        bounds_iter = iter(bounds)
-        for _ in range(threads + 1):
-            b = next(bounds_iter, None)
-            if b is None:
-                break
-            pending.append((b, pool.submit(sieve_values, kind, b[0], b[1])))
+        for lo, hi in bounds:
+            pending.append(pool.submit(sieve, lo, hi))
+            if len(pending) > threads:
+                yield pending.popleft().result()
         while pending:
-            (lo, hi), fut = pending.popleft()
-            yield lo, hi, fut.result().values
-            b = next(bounds_iter, None)
-            if b is not None:
-                pending.append((b, pool.submit(sieve_values, kind, b[0], b[1])))
+            yield pending.popleft().result()
 
 
 def _cumsum0(terms: np.ndarray) -> np.ndarray:
@@ -273,7 +276,8 @@ def _prefix_sums(
 
     Raises:
         DomainError: segment_size < 1.
-        ResourceError: a float kind past _FLOAT_EXACT_LIMIT.
+        ResourceError: a float kind past _FLOAT_EXACT_LIMIT, or sqrt(n) above
+            the base-prime cap of the sieve.
     """
     if segment_size < 1:
         raise DomainError(f"segment size must be >= 1, got {segment_size}")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -40,15 +41,15 @@ def oracle_value(kind, n):
     return oracle_values(kind, [n]).item()
 
 
-def assert_matches_oracle(lo, hi, ks=None):
-    """Every kind's sieve over [lo, hi] equals the oracle at ks (default: all k).
+def assert_matches_oracle(lo, hi, ks=None, kinds=ALL_KINDS):
+    """Each kind's sieve over [lo, hi] equals the oracle at ks (default: all k).
 
     Float kinds are compared bitwise, as int64 views.
     """
     ks = list(range(lo, hi + 1) if ks is None else ks)
     counts = FactorCounts.of(factor_oracle(k) for k in ks)
     at = np.array(ks, dtype=np.int64) - lo
-    for kind in ALL_KINDS:
+    for kind in kinds:
         got = sieve_values(kind, lo, hi).values[at]
         want = values_from_counts(kind, counts)
         assert got.dtype == want.dtype, kind.label
@@ -194,6 +195,97 @@ class TestBeyondTheSmallOracle:
         sq = p * p
         for lo, hi in [(sq - 2, sq - 1), (sq - 1, sq), (sq, sq + 1)]:
             assert_matches_oracle(lo, hi)
+
+
+SIGNED = [FunctionKind.MOBIUS, FunctionKind.LIOUVILLE]
+
+
+def floor_log(k):
+    """floor(256 * log2 k), exactly."""
+    return (k**256).bit_length() - 1
+
+
+class TestLogWeightTail:
+    """The mobius and liouville test for a prime cofactor above sqrt(hi).
+
+    The score is 2*s + c: s sums w_p = floor(256 * log2 p) and c counts the
+    primes; k has the cofactor when score < 2*t_j in its quarter-octave block.
+    """
+
+    @pytest.mark.parametrize("ps, tolerance", [
+        (primes_upto(10**4).tolist(), 0),
+        ([10007, 65521, 999983, 1048573, 2**26 - 5], 1),  # float log2 may miss by one
+    ], ids=["below-1e4", "larger"])
+    def test_weights_are_floor_256_log2_p(self, ps, tolerance):
+        for p in ps:
+            assert factor_oracle(p).factors == ((p, 1),)
+            score = kernels.factor_profile(p, p, FunctionKind.LIOUVILLE, primes=np.array([p]))[0]
+            assert abs(int(score[0]) // 2 - floor_log(p)) <= tolerance, p
+
+    def test_blocks_start_at_the_quarter_octave_edges(self):
+        blocks = list(kernels._tail_blocks(1, 2**52))
+        assert len(blocks) == 4 * 52 + 1
+        for j, (block, _) in enumerate(blocks):
+            e = 1 + block.start  # e_j
+            assert e**4 >= 2**j > (e - 1) ** 4
+
+    @pytest.mark.parametrize("lo, hi", [(1, 2**52), (3, 10**6), (10**9 - 2**22, 10**9),
+                                        (10**12, 10**12 + 4095), (2**40 - 1, 2**40 + 1)])
+    def test_thresholds_keep_their_margin(self, lo, hi):
+        # A k <= 2**52 has at most three prime factors above 10**4, whose w_p
+        # may be one off; each moves the score by 2.
+        slack = 6
+        covered = 0
+        for block, t in kernels._tail_blocks(lo, hi):
+            assert covered == block.start <= block.stop  # in order, tiling the window
+            covered = block.stop
+            if block.start == block.stop:
+                continue
+            first, last = lo + block.start, lo + block.stop - 1
+            big_omega = last.bit_length() - 1
+            # sqrt(hi)-smooth: s >= 256 * log2 k - Omega(k); with a cofactor
+            # q >= 2: s <= 256 * log2(k / 2) and c <= Omega(k) - 1.
+            smooth_min = 2 * (floor_log(first) - big_omega)
+            cofactor_max = 2 * (floor_log(last) - 256) + big_omega - 1
+            assert smooth_min - 2 * t >= slack, (first, t)
+            assert 2 * t - cofactor_max > slack, (last, t)
+        assert covered == hi - lo + 1
+
+    @pytest.mark.parametrize("m", range(2, 41))
+    def test_around_powers_of_two(self, m):
+        assert_matches_oracle(2**m - 1, 2**m + 1, kinds=SIGNED)  # Omega(2**m) = m
+
+    @pytest.mark.parametrize("near", [1000, 2**16, 10**6, 2**20])
+    def test_cofactor_is_the_first_prime_above_sqrt_hi(self, near):
+        primes = primes_upto(near + 1000)
+        i = int(np.searchsorted(primes, near, side="right")) - 1
+        p, q = int(primes[i]), int(primes[i + 1])
+        k = p * q
+        assert p <= math.isqrt(k + 8) < q
+        assert_matches_oracle(k - 8, k + 8, [k - 1, k, k + 1], kinds=SIGNED)
+
+    def test_every_k_through_block_edge_68(self):
+        n = 2**17 + 1  # e_68 = 2**17
+        counts = trial_division_counts(n)
+        for kind in SIGNED:
+            assert np.array_equal(sieve_values(kind, 1, n).values, values_from_counts(kind, counts))
+
+    @pytest.mark.parametrize("j", range(69, 4 * 32 + 1))
+    def test_at_and_next_to_block_edge(self, j):
+        e = math.isqrt(math.isqrt(2**j - 1)) + 1
+        assert_matches_oracle(e - 1, e + 1, kinds=SIGNED)
+
+    @pytest.mark.parametrize("kind", SIGNED, ids=lambda k: k.label)
+    def test_peak_memory_per_entry(self, kind):
+        n = 2**20
+        sieve_values(kind, 1, n)
+        tracemalloc.start()
+        try:
+            sieve_values(kind, 1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n
 
 
 class TestWindowEdges:

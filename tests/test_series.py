@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from summatoria import kernels
 from summatoria.errors import DomainError, ResourceError
 from summatoria.kernels import FunctionKind, sieve_values
 from summatoria.series import (
@@ -211,6 +212,26 @@ class TestDeterminism:
         a = accumulate(FunctionKind.MOBIUS, 30000, "geometric", segment_size=1 << 20)
         b = accumulate(FunctionKind.MOBIUS, 30000, "geometric", segment_size=997)
         assert np.array_equal(a.sums, b.sums)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_base_prime_sieve_per_walk(self, monkeypatch, threads):
+        for kind in (FunctionKind.MOBIUS, FunctionKind.LIOUVILLE):
+            whole = accumulate(kind, 30000, "all")
+            calls = []
+            real = kernels.primes_upto
+            monkeypatch.setattr(kernels, "primes_upto", lambda n: calls.append(n) or real(n))
+            split = accumulate(kind, 30000, "all", segment_size=997, threads=threads)
+            monkeypatch.undo()
+            assert calls == [math.isqrt(30000)]
+            assert np.array_equal(split.sums, whole.sums)
+
+    def test_base_primes_past_the_cap_refused_before_sieving(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"sieved the primes up to {limit}")
+
+        monkeypatch.setattr(kernels, "primes_upto", refuse)
+        with pytest.raises(ResourceError):
+            accumulate(FunctionKind.MOBIUS, 2**53, [1], max_limit=2**53)
 
 
 class TestFloatAccuracy:
