@@ -42,6 +42,8 @@ from .verify import fmt12
 
 #: Above this limit, scaling reports switch from all-n to ladder checkpoints.
 DENSE_SCAN_LIMIT = 10**6
+#: Rows of a sum report converted to Python scalars at a time.
+_ROWS_PER_STEP = 1 << 12
 
 
 def parse_limit(text: str) -> int:
@@ -209,21 +211,31 @@ def cmd_sieve(args) -> int:
     return 0
 
 
+def _column_steps(series: SummatorySeries):
+    """(ns, sums) as Python lists, _ROWS_PER_STEP rows at a time.
+
+    A step at a time keeps no Python object per row of the whole series.
+    """
+    for i in range(0, len(series), _ROWS_PER_STEP):
+        yield series.ns[i : i + _ROWS_PER_STEP].tolist(), series.sums[i : i + _ROWS_PER_STEP].tolist()
+
+
 def cmd_sum(args) -> int:
     cps = resolve_checkpoints(args.limit, args.ladder)
     series = _try_cached_series(args.cache_dir, args.kind, args.limit, cps, args.threads)
+    integer = series.kind.is_integer_valued
     if args.format == "csv":
-        lines = ["n,S"]
-        for n, s in zip(series.ns, series.sums):
-            lines.append(f"{int(n)},{_num(series.kind, s)}")
-        _emit("\n".join(lines) + "\n", args.output)
+        rows = "\n".join(
+            "\n".join(map("{},{}".format, ns, sums if integer else map(fmt12, sums)))
+            for ns, sums in _column_steps(series)
+        )
+        _emit(f"n,S\n{rows}\n", args.output)
     else:
         doc = {
             "kind": series.kind.label,
             "limit": series.limit,
             "checkpoints": [
-                {"n": int(n), "S": _json_num(series.kind, s)}
-                for n, s in zip(series.ns, series.sums)
+                {"n": n, "S": s} for ns, sums in _column_steps(series) for n, s in zip(ns, sums)
             ],
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.output)

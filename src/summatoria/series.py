@@ -2,9 +2,11 @@
 
 accumulate() streams sieve segments over [1, limit] in a single monotone
 pass, recording S(n) at the requested checkpoints; the same walk also gives
-Q(n) = sum of f(k)^2 to moment_scan. Integer-valued kinds sum in int64. The
-Chebyshev terms are summed exactly in fixed point and each checkpoint is
-rounded once, so every value is the correctly rounded sum of f(1..n) (what
+Q(n) = sum of f(k)^2 to moment_scan. Integer-valued kinds are read out of
+each segment exactly: an int64 prefix over blocks of 4096 terms, plus an
+int16 prefix within each block that holds a checkpoint. The Chebyshev
+terms are summed exactly in fixed point and each checkpoint is rounded
+once, so every value is the correctly rounded sum of f(1..n) (what
 math.fsum returns) and depends only on (kind, n), for n up to
 _FLOAT_EXACT_LIMIT.
 
@@ -37,6 +39,10 @@ _FLOAT_EXACT_LIMIT = 5 * 10**9
 #: every readout residue far inside int64 and the float64 mantissa.
 _LIMB = 29
 _LIMB_MASK = (1 << _LIMB) - 1
+#: Block length of the integer readout: a within-block prefix of int8 terms
+#: of magnitude <= 7 stays inside int16.
+_BLOCK_BITS = 12
+_BLOCK = 1 << _BLOCK_BITS
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,24 +212,47 @@ def _cumsum0(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _between(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """int64 sums of terms[counts[i - 1]:counts[i]] (from 0 for i = 0).
+def _block_prefix(terms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, int]:
+    """int64 sums of terms[:c] for each c in counts, and the sum of all terms.
 
-    counts must be nondecreasing; an empty stretch sums to 0, where
-    reduceat alone would return the term at its start.
+    counts must be nondecreasing and at most len(terms), and |terms| <= 7,
+    so that a prefix within one block of _BLOCK terms is exact in int16.
+    S(c) is the int64 prefix P over whole blocks before c plus the in-block
+    prefix of the block c falls in; only blocks that hold a count get one.
     """
-    out = np.zeros(len(counts), dtype=np.int64)
-    starts = np.concatenate(([0], counts[:-1]))
-    filled = starts < counts
-    if filled.any():
-        out[filled] = np.add.reduceat(terms[: counts[-1]], starts[filled], dtype=np.int64)
-    return out
+    nb = len(terms) >> _BLOCK_BITS
+    full = terms[: nb << _BLOCK_BITS].reshape(nb, _BLOCK)
+    tail = terms[nb << _BLOCK_BITS :]
+    prefix = np.zeros(nb + 2, dtype=np.int64)
+    full.sum(1, dtype=np.int64, out=prefix[1:-1])
+    prefix[-1] = tail.sum(dtype=np.int64)
+    np.cumsum(prefix, out=prefix)
+    block = counts >> _BLOCK_BITS
+    held = np.zeros(nb + 1, dtype=bool)
+    held[block] = True
+    held = np.flatnonzero(held)
+    # Row i of inner is the exclusive prefix of block held[i]. Block nb is
+    # the partial (maybe empty) tail; if it holds a count, it is held[-1].
+    inner = np.zeros((len(held), _BLOCK), dtype=np.int16)
+    k = len(held) - int(held[-1] == nb)
+    np.cumsum(full[held[:k], :-1], axis=1, dtype=np.int16, out=inner[:k, 1:])
+    if k < len(held):
+        np.cumsum(tail, dtype=np.int16, out=inner[k, 1 : len(tail) + 1])
+    # Count c sits at flat index row * _BLOCK + (c mod _BLOCK) of inner.
+    shift = np.zeros(nb + 1, dtype=np.int64)
+    shift[held] = (np.arange(len(held)) - held) << _BLOCK_BITS
+    flat = shift[block]
+    flat += counts
+    out = prefix[block]
+    out += inner.ravel()[flat]
+    return out, int(prefix[-1])
 
 
 class _ExactRun:
     """An exact running sum of a stream of terms, read out at term counts.
 
-    With scale None the terms are integers summed in int64. Otherwise they
+    With scale None the terms are small integers (see _block_prefix), read
+    out of int64 block prefixes and int16 in-block prefixes. Otherwise they
     are nonnegative multiples of 2**-scale below 2**(63 - scale): exact
     int64 in fixed point, cumsummed as two 29-bit limbs, and each readout
     is the correctly rounded float64 of the exact total.
@@ -236,9 +265,12 @@ class _ExactRun:
     def add(self, terms: np.ndarray, counts) -> np.ndarray:
         """Append terms; return the running sum after counts[i] of them."""
         if self.scale is None:
-            out = np.cumsum(_between(terms, counts), dtype=np.int64)
+            if len(counts) == 0:
+                self.total += int(terms.sum(dtype=np.int64))
+                return np.zeros(0, dtype=np.int64)
+            out, total = _block_prefix(terms, counts)
             out += self.total
-            self.total += int(terms.sum(dtype=np.int64))
+            self.total += total
             return out
         x = np.ldexp(terms, self.scale).astype(np.int64)
         hi, lo = _cumsum0(x >> _LIMB), _cumsum0(x & _LIMB_MASK)

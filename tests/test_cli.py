@@ -151,6 +151,22 @@ class TestSumCommand:
         assert n == "10"
         assert float(s) == pytest.approx(math.log(2520), abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ["mobius", "psi"])
+    def test_rows_across_formatting_steps(self, kind, tmp_path):
+        limit = 3 * 4096 + 5
+        series = accumulate(parse_kind(kind), limit, "all")
+        cell = str if series.kind.is_integer_valued else fmt12
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"s.{fmt}"
+            assert run_cli("sum", "--kind", kind, "--limit", limit, "--ladder", "all",
+                           "--format", fmt, output=out)[0] == 0
+            if fmt == "csv":
+                rows = [f"{n},{cell(s)}" for n, s in series.checkpoints]
+                assert out.read_text() == "\n".join(["n,S", *rows]) + "\n"
+            else:
+                doc = json.loads(out.read_text())
+                assert doc["checkpoints"] == [{"n": n, "S": s} for n, s in series.checkpoints]
+
     def test_byte_identity_across_threads(self, tmp_path):
         outputs = []
         for threads, name in ((1, "a"), (5, "b")):

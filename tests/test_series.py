@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,15 @@ from hypothesis import strategies as st
 from summatoria import kernels
 from summatoria.errors import DomainError, ResourceError
 from summatoria.kernels import FunctionKind, sieve_values
+from summatoria.moments import moment_scan
 from summatoria.series import (
     _FLOAT_EXACT_LIMIT,
     DEFAULT_MAX_LIMIT,
+    DEFAULT_SEGMENT,
     DeviationSeries,
     MeanModel,
     SummatorySeries,
-    _between,
+    _ExactRun,
     accumulate,
     deviation_series,
     geometric_ladder,
@@ -145,20 +148,70 @@ class TestPrefixAdditivity:
         assert value_at(series, b) - value_at(series, a) == int(gap.astype(np.int64).sum())
 
 
-class TestIntegerReadout:
-    def test_stretch_sums_with_empty_and_repeated_counts(self):
-        terms = np.array([1, -1, 1, 1, 0, -1], dtype=np.int8)
-        assert _between(terms, np.array([], dtype=np.int64)).tolist() == []
-        assert _between(terms, np.array([0, 2, 2, 6])).tolist() == [0, 0, 0, 1]
-        assert _between(terms, np.array([3, 3])).tolist() == [1, 0]
+B = 1 << 12
+EDGES = (B - 1, B, B + 1)
 
-    @given(st.lists(st.integers(0, 40), max_size=8), st.integers(0, 40))
-    @settings(max_examples=60, deadline=None)
-    def test_stretch_sums_match_a_cumsum(self, counts, length):
-        terms = np.resize(np.array([1, -1, 0, 1, 1], dtype=np.int8), length)
-        counts = np.array(sorted(c for c in counts if c <= length), dtype=np.int64)
-        cum = np.concatenate(([0], np.cumsum(terms, dtype=np.int64)))
-        assert np.cumsum(_between(terms, counts)).tolist() == cum[counts].tolist()
+
+def exact_prefix(terms: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(terms, dtype=np.int64)))
+
+
+def read_out(terms: np.ndarray, counts) -> tuple[list[int], int]:
+    run = _ExactRun()
+    return run.add(terms, counts).tolist(), run.total
+
+
+class TestIntegerReadout:
+    @given(
+        st.integers(0, 3 * B + 17),
+        st.sampled_from([(-1, 0, 1), (0, 1)]),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 3 * B + 17), max_size=10),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_an_int64_cumsum(self, length, alphabet, seed, picks):
+        terms = np.random.default_rng(seed).choice(np.array(alphabet, dtype=np.int8), length)
+        cum = exact_prefix(terms)
+        counts = sorted(c for c in [0, 0, length, length, *EDGES, *picks] if c <= length)
+        counts = np.array(counts, dtype=np.int64)
+        assert read_out(terms, counts) == (cum[counts].tolist(), cum[-1])
+        assert read_out(terms, np.array([], dtype=np.int64)) == ([], cum[-1])
+
+    @pytest.mark.parametrize("plan", ["geometric", "all"])
+    def test_one_full_segment(self, plan):
+        n = 1 << 22
+        terms = sieve_values(FunctionKind.MOBIUS, 1, n).values
+        counts = resolve_checkpoints(n, plan)
+        cum = exact_prefix(terms)
+        sums, total = read_out(terms, counts)
+        assert sums == cum[counts].tolist() and total == cum[-1]
+
+    def test_peak_memory_per_entry(self):
+        n = 1 << 20
+        terms = sieve_values(FunctionKind.MOBIUS, 1, n).values
+        counts = geometric_ladder(n)
+        read_out(terms, counts)
+        tracemalloc.start()
+        try:
+            _ExactRun().add(terms, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n
+
+    @pytest.mark.parametrize("kind", [k for k in FunctionKind if k.is_integer_valued], ids=lambda k: k.label)
+    def test_segment_size_never_changes_s_or_q(self, kind):
+        limit = 5 * B + 3
+        sizes = (B - 1, B, B + 1, DEFAULT_SEGMENT)
+        for plan in ("geometric", "all"):
+            sums = {accumulate(kind, limit, plan, segment_size=z).sums.tobytes() for z in sizes}
+            scans = {tuple((r.sum_S, r.sum_Q) for r in moment_scan(kind, limit, plan, segment_size=z))
+                     for z in sizes}
+            assert len(sums) == 1 and len(scans) == 1
+            full = sieve_values(kind, 1, limit).values
+            cps = resolve_checkpoints(limit, plan)
+            assert np.frombuffer(sums.pop(), dtype=np.int64).tolist() == exact_prefix(full)[cps].tolist()
+            assert [q for _, q in scans.pop()] == exact_prefix(full * full)[cps].tolist()
 
 
 class TestValueAt:
