@@ -161,7 +161,27 @@ def read_out(terms: np.ndarray, counts) -> tuple[list[int], int]:
     return run.add(terms, counts).tolist(), run.total
 
 
+def stretch_sums(terms: np.ndarray, counts) -> list[int]:
+    """Sums of terms[counts[i - 1]:counts[i]] (from 0 for i = 0), read out of the prefixes."""
+    sums, _ = read_out(terms, np.asarray(counts, dtype=np.int64))
+    return np.diff([0, *sums]).tolist()
+
+
 class TestIntegerReadout:
+    def test_stretch_sums_with_empty_and_repeated_counts(self):
+        terms = np.array([1, -1, 1, 1, 0, -1], dtype=np.int8)
+        assert stretch_sums(terms, []) == []
+        assert stretch_sums(terms, [0, 2, 2, 6]) == [0, 0, 0, 1]
+        assert stretch_sums(terms, [3, 3]) == [1, 0]
+
+    @given(st.lists(st.integers(0, 40), max_size=8), st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_stretch_sums_match_a_cumsum(self, counts, length):
+        terms = np.resize(np.array([1, -1, 0, 1, 1], dtype=np.int8), length)
+        counts = sorted(c for c in counts if c <= length)
+        cum = exact_prefix(terms)
+        assert np.cumsum(stretch_sums(terms, counts), dtype=np.int64).tolist() == cum[counts].tolist()
+
     @given(
         st.integers(0, 3 * B + 17),
         st.sampled_from([(-1, 0, 1), (0, 1)]),
