@@ -4,7 +4,7 @@ The package sieves five pointwise arithmetic functions (Mobius, Liouville,
 the prime indicator, and the two Chebyshev log-terms), accumulates their
 summatory series exactly (64-bit integers for the ±1/0 kinds, correctly
 rounded sums for the Chebyshev log-terms), and measures the moment,
-scaling, and dependence behaviour of the resulting deviations. Sieved
+scaling, and dependence behaviour of the resulting sums. Sieved
 values can be checked against trial division: factor_oracle factors one
 n, trial_division_counts every k in [1, n] at once, and values_from_counts
 maps the FactorCounts of either to the five kinds.
@@ -34,15 +34,11 @@ from .moments import (
     LagCovariance,
     MomentReport,
     ParityCounts,
-    covariance_gap,
-    grid_sum_ratio,
     lag_covariance,
     moment_scan,
     pair_product_counts,
     parity_counts,
     prime_adjacent_joint,
-    second_moment_decomposition,
-    sum_of_squares,
 )
 from .scaling import (
     CoverageReport,
@@ -51,17 +47,12 @@ from .scaling import (
     chebyshev_bound_coverage,
     fit_exponent,
     normalized_envelope,
-    slow_growth_check,
 )
 from .series import (
-    DeviationSeries,
-    MeanModel,
     SummatorySeries,
     accumulate,
-    deviation_series,
     geometric_ladder,
     resolve_checkpoints,
-    value_at,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +61,6 @@ __all__ = [
     "AdjacentPrimeStats",
     "CorruptionError",
     "CoverageReport",
-    "DeviationSeries",
     "DomainError",
     "ExponentFit",
     "FactorCounts",
@@ -78,7 +68,6 @@ __all__ = [
     "FunctionKind",
     "IntegrityError",
     "LagCovariance",
-    "MeanModel",
     "MomentReport",
     "ParityCounts",
     "ResourceError",
@@ -86,15 +75,13 @@ __all__ = [
     "SummatoriaError",
     "SummatorySeries",
     "ValueTable",
+    "__version__",
     "accumulate",
     "chebyshev_bound_coverage",
-    "covariance_gap",
-    "deviation_series",
     "factor_oracle",
     "fit_exponent",
     "fnv1a64",
     "geometric_ladder",
-    "grid_sum_ratio",
     "lag_covariance",
     "load",
     "moment_scan",
@@ -105,12 +92,7 @@ __all__ = [
     "primes_upto",
     "resolve_checkpoints",
     "save",
-    "second_moment_decomposition",
     "sieve_values",
-    "slow_growth_check",
-    "sum_of_squares",
     "trial_division_counts",
-    "value_at",
     "values_from_counts",
-    "__version__",
 ]

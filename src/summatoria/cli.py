@@ -30,14 +30,7 @@ from .scaling import (
     fit_exponent,
     normalized_envelope,
 )
-from .series import (
-    MeanModel,
-    SummatorySeries,
-    accumulate,
-    deviation_series,
-    geometric_ladder,
-    resolve_checkpoints,
-)
+from .series import SummatorySeries, accumulate, geometric_ladder, resolve_checkpoints
 from .verify import fmt12
 
 #: Above this limit, scaling reports switch from all-n to ladder checkpoints.
@@ -61,6 +54,15 @@ def parse_limit(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"bound must be >= 1, got {text!r}")
     return n
+
+
+def parse_threads(text: str) -> int:
+    """A worker-thread count, capped at the machine's CPU count.
+
+    More threads than cores cannot sieve faster, and the walk keeps one
+    pending segment table per thread.
+    """
+    return min(parse_limit(text), os.cpu_count() or 1)
 
 
 def parse_kind(text: str) -> FunctionKind:
@@ -104,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--cache-dir", default=os.environ.get(ENV_CACHE_DIR),
                        help=f"artifact cache directory (default: ${ENV_CACHE_DIR} if set)")
-        p.add_argument("--threads", type=parse_limit, default=os.cpu_count() or 1,
-                       help="sieve worker threads; results never depend on this")
+        p.add_argument("--threads", type=parse_threads, default=os.cpu_count() or 1,
+                       help="sieve worker threads, at most the CPU count; "
+                            "results never depend on this")
 
     p = sub.add_parser("sieve", help="pointwise values over an interval")
     p.add_argument("--lo", type=parse_limit, default=1)
@@ -289,17 +292,16 @@ def cmd_scaling(args) -> int:
     if plan is None:
         plan = "all" if args.limit <= DENSE_SCAN_LIMIT else "geometric"
     series = accumulate(args.kind, args.limit, plan, threads=args.threads)
-    dev = deviation_series(series, MeanModel(0.0))
     phi = SlowGrowthSpec.from_name(args.phi)
 
     # Both end at the limit, so every ladder point has an index in series.ns.
     ladder = geometric_ladder(args.limit)
     idx = np.searchsorted(series.ns, ladder)
     hit = series.ns[idx] == ladder
-    samples = [(int(n), abs(float(dev.deviations[i]))) for n, i in zip(ladder[hit], idx[hit])]
+    samples = [(int(n), abs(float(series.sums[i]))) for n, i in zip(ladder[hit], idx[hit])]
     fit = fit_exponent(samples)
-    envelope = normalized_envelope(dev)
-    coverage = chebyshev_bound_coverage(dev, phi)
+    envelope = normalized_envelope(series)
+    coverage = chebyshev_bound_coverage(series, phi)
 
     if args.format == "csv":
         lines = [

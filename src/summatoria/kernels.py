@@ -125,13 +125,6 @@ class ValueTable:
     def __len__(self) -> int:
         return self.hi - self.lo + 1
 
-    def value_at(self, k: int):
-        """f(k) as a Python int or float; k must lie inside the table."""
-        if not self.lo <= k <= self.hi:
-            raise DomainError(f"k={k} outside table range [{self.lo}, {self.hi}]")
-        v = self.values[k - self.lo]
-        return int(v) if self.kind.is_integer_valued else float(v)
-
     def validate(self) -> None:
         """Full-scan check of the value-range invariants.
 

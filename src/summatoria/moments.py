@@ -4,8 +4,8 @@ Everything here reduces to two prefix aggregates, S(n) = sum of f(k) and
 Q(n) = sum of f(k)^2 for k <= n, combined into pair averages over the n x n
 index grid. Both come from the exact segment walk in series.py: exact 64-bit
 integers for the ±1/0-valued kinds, so the algebraic identities hold
-bit-for-bit, and correctly rounded sums for the Chebyshev kinds. The per-n
-helpers return exactly what moment_scan reports at that n.
+bit-for-bit, and correctly rounded sums for the Chebyshev kinds. moment_scan
+reports them at every checkpoint of a plan in one such walk.
 
 The pair average over ordered pairs with i != j uses the divisor n(n-1);
 pair_product_counts instead counts over the full grid including i = j.
@@ -25,11 +25,9 @@ from .kernels import FunctionKind, ValueTable, sieve_values
 from .series import (
     _FLOAT_EXACT_LIMIT,
     DEFAULT_SEGMENT,
-    SummatorySeries,
     _ExactRun,
     _prefix_sums,
     resolve_checkpoints,
-    value_at,
 )
 
 
@@ -94,9 +92,12 @@ class LagCovariance:
 class MomentReport:
     """All per-n moment quantities for one prefix of one kind.
 
-    covariance_gap is None at n = 1, where the pair average over i != j
-    is empty. For integer kinds sum_S and sum_Q are exact ints and the
-    decomposition identity holds exactly.
+    grid_ratio is S^2/n^2, the pair average of f(i)f(j) over the full grid.
+    covariance_gap is the pair average over i != j minus the squared mean,
+    (S^2 - Q)/(n(n-1)) - (S/n)^2: exactly -1/(n-1) for a ±1-valued kind at
+    a zero of S. It is None at n = 1, where that average is empty. For
+    integer kinds sum_S and sum_Q are exact ints and the decomposition
+    identity holds exactly.
     """
 
     kind: FunctionKind
@@ -113,43 +114,11 @@ class MomentReport:
             raise DomainError("second-moment decomposition identity violated")
 
 
-def sum_of_squares(kind: FunctionKind, n: int, *, segment_size: int = DEFAULT_SEGMENT):
-    """Q(n) = sum of f(k)^2 for k <= n, as moment_scan reports it.
-
-    Liouville needs no scan (f^2 is identically 1).
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if kind is FunctionKind.LIOUVILLE:
-        return n
-    return moment_scan(kind, n, [n], segment_size=segment_size)[-1].sum_Q
-
-
 def _report(kind: FunctionKind, n: int, s, q) -> MomentReport:
     """The MomentReport for prefix aggregates S(n) = s and Q(n) = q."""
     gap = None if n < 2 else (s * s - q) / (n * (n - 1)) - (s / n) ** 2
     decomp = SecondMomentDecomposition(s * s, q, s * s - q)
     return MomentReport(kind, n, s, q, (s * s) / (n * n), gap, decomp)
-
-
-def _report_at(series: SummatorySeries, n: int, segment_size: int) -> MomentReport:
-    """The report moment_scan gives at n, with S(n) read from the series."""
-    s = value_at(series, n, segment_size=segment_size)
-    indicator = series.kind is FunctionKind.PRIME_INDICATOR  # f^2 = f, no scan needed
-    q = s if indicator else sum_of_squares(series.kind, n, segment_size=segment_size)
-    return _report(series.kind, n, s, q)
-
-
-def grid_sum_ratio(series: SummatorySeries, n: int) -> float:
-    """S(n)^2 / n^2: the full-grid pair average of f(i)f(j).
-
-    The double sum over all ordered (i, j) with both indices <= n collapses
-    to S(n)^2, so the ratio to the n^2 grid size needs only one prefix sum.
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    s = value_at(series, n)
-    return (s * s) / (n * n)
 
 
 def parity_counts(table: ValueTable, n: int) -> ParityCounts:
@@ -178,17 +147,6 @@ def pair_product_counts(counts: ParityCounts) -> PairProducts:
         counts.n_plus * counts.n_minus,
         counts.n_plus * counts.n_minus,
     )
-
-
-def covariance_gap(series: SummatorySeries, n: int, *, segment_size: int = DEFAULT_SEGMENT) -> float:
-    """Mean of f(i)f(j) over ordered pairs i != j, minus the squared mean.
-
-    Exactly (S^2 - Q) / (n(n-1)) - (S/n)^2. For a ±1-valued sequence with
-    S(n) = 0 this is -1/(n-1) on the nose, a useful closed-form anchor.
-    """
-    if n < 2:
-        raise DomainError(f"pair average needs n >= 2, got {n}")
-    return _report_at(series, n, segment_size).covariance_gap
 
 
 def lag_covariance(table: ValueTable, lag: int, window: tuple[int, int]) -> LagCovariance:
@@ -262,19 +220,6 @@ def prime_adjacent_joint(N: int, *, table: ValueTable | None = None) -> Adjacent
     freq_x = int(np.count_nonzero(x == 1)) / count
     freq_y = int(np.count_nonzero(y == 1)) / count
     return AdjacentPrimeStats(joint, freq_x * freq_y)
-
-
-def second_moment_decomposition(
-    series: SummatorySeries, n: int, *, segment_size: int = DEFAULT_SEGMENT
-) -> SecondMomentDecomposition:
-    """Split S(n)^2 into the diagonal sum Q(n) and the cross term.
-
-    Returns (S^2, Q, S^2 - Q); the first equals the sum of the other two
-    exactly, in integer arithmetic for the ±1/0 kinds.
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return _report_at(series, n, segment_size).decomposition
 
 
 def moment_scan(

@@ -1,9 +1,10 @@
 """Growth-exponent fits, sqrt(n) envelopes, and deviation-bound coverage.
 
-The questions answered here: how fast does |F(n)| grow (log-log least
-squares), how large does |F(n)|/sqrt(n) ever get (normalized envelope), and
-for what fraction of n does |F(n)| stay below sqrt(n) times a slowly
-growing function (coverage).
+The questions answered here: how fast does |S(n)| grow (log-log least
+squares), how large does |S(n)|/sqrt(n) ever get (normalized envelope), and
+for what fraction of n does |S(n)| stay below sqrt(n) times a slowly
+growing function (coverage). Every kind has zero density, so S(n) is its
+own deviation from the mean.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import FunctionKind
-from .series import DeviationSeries, geometric_ladder
+from .series import SummatorySeries
 
 log = logging.getLogger(__name__)
 
 
 class EnvelopeResult(NamedTuple):
-    """Largest |F(n)|/sqrt(n) over the checkpoints and where it occurs."""
+    """Largest |S(n)|/sqrt(n) over the checkpoints and where it occurs."""
 
     max_ratio: float
     argmax_n: int
@@ -31,7 +32,7 @@ class EnvelopeResult(NamedTuple):
 
 @dataclass(frozen=True)
 class ExponentFit:
-    """Least-squares power law |F(n)| ~ c * n^alpha on log-log axes."""
+    """Least-squares power law |S(n)| ~ c * n^alpha on log-log axes."""
 
     alpha: float
     log_c: float
@@ -87,7 +88,7 @@ class SlowGrowthSpec:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """How often |F(n)| <= sqrt(n) * phi(n) holds across the checkpoints."""
+    """How often |S(n)| <= sqrt(n) * phi(n) holds across the checkpoints."""
 
     kind: FunctionKind
     limit: int
@@ -135,35 +136,15 @@ def fit_exponent(samples: Sequence[tuple[int, float]]) -> ExponentFit:
     return ExponentFit(alpha, log_c, r_squared, len(usable), float(np.abs(residuals).max()))
 
 
-def normalized_envelope(dev: DeviationSeries) -> EnvelopeResult:
-    """Max of |F(n)|/sqrt(n) over the checkpoints; ties go to the smaller n."""
-    ratios = np.abs(dev.deviations) / np.sqrt(dev.ns.astype(np.float64))
+def normalized_envelope(series: SummatorySeries) -> EnvelopeResult:
+    """Max of |S(n)|/sqrt(n) over the checkpoints; ties go to the smaller n."""
+    ratios = np.abs(series.sums) / np.sqrt(series.ns.astype(np.float64))
     idx = int(np.argmax(ratios))  # first occurrence, hence the smallest n
-    return EnvelopeResult(float(ratios[idx]), int(dev.ns[idx]))
+    return EnvelopeResult(float(ratios[idx]), int(series.ns[idx]))
 
 
-def slow_growth_check(spec: SlowGrowthSpec, n_range: tuple[int, int], epsilon: float) -> bool:
-    """Is phi(n) <= n**epsilon at every ladder point of the range?
-
-    Probes the geometric ladder restricted to [lo, hi], with both endpoints
-    always included.
-
-    Raises:
-        DomainError: epsilon <= 0 or an empty range.
-    """
-    lo, hi = n_range
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if lo < 2 or hi < lo:
-        raise DomainError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
-    ladder = geometric_ladder(hi)
-    points = np.unique(np.concatenate([ladder[(ladder >= lo)], [lo, hi]])).astype(np.float64)
-    phi = np.asarray(spec.evaluator(points), dtype=np.float64)
-    return bool((phi <= points**epsilon).all())
-
-
-def chebyshev_bound_coverage(dev: DeviationSeries, phi: SlowGrowthSpec) -> CoverageReport:
-    """Count checkpoints where |F(n)| <= sqrt(n) * phi(n).
+def chebyshev_bound_coverage(series: SummatorySeries, phi: SlowGrowthSpec) -> CoverageReport:
+    """Count checkpoints where |S(n)| <= sqrt(n) * phi(n).
 
     Checkpoints at n = 1 are excluded: the menu logarithms vanish there
     and the bound would be judged on an empty-growth point.
@@ -171,16 +152,15 @@ def chebyshev_bound_coverage(dev: DeviationSeries, phi: SlowGrowthSpec) -> Cover
     Raises:
         DomainError: phi non-positive somewhere on the probed checkpoints.
     """
-    ns = dev.ns.astype(np.float64)
-    mask = dev.ns >= 2
-    ns = ns[mask]
-    devs = np.abs(dev.deviations[mask])
+    mask = series.ns >= 2
+    ns = series.ns[mask].astype(np.float64)
+    sums = np.abs(series.sums[mask])
     if len(ns) == 0:
         raise DomainError("coverage needs at least one checkpoint with n >= 2")
     phi_vals = np.asarray(phi.evaluator(ns), dtype=np.float64)
     if bool((phi_vals <= 0).any()):
         raise DomainError(f"phi {phi.name!r} is non-positive on the checkpoint range")
-    satisfied = int(np.count_nonzero(devs <= np.sqrt(ns) * phi_vals))
+    satisfied = int(np.count_nonzero(sums <= np.sqrt(ns) * phi_vals))
     total = int(len(ns))
-    return CoverageReport(dev.base.kind, dev.base.limit, phi, satisfied, total,
+    return CoverageReport(series.kind, series.limit, phi, satisfied, total,
                           satisfied / total)

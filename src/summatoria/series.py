@@ -1,4 +1,4 @@
-"""Checkpointed summatory series S(n) and their deviations.
+"""Checkpointed summatory series S(n).
 
 accumulate() streams sieve segments over [1, limit] in a single monotone
 pass, recording S(n) at the requested checkpoints; the same walk also gives
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,43 +91,6 @@ class SummatorySeries:
         return int(s) if self.kind.is_integer_valued else float(s)
 
 
-@dataclass(frozen=True)
-class MeanModel:
-    """Linear density model: the deviation is F(n) = S(n) - m*n.
-
-    All five built-in kinds have vanishing natural density, so m defaults
-    to 0 and F coincides with S.
-    """
-
-    m: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.m):
-            raise DomainError(f"mean model constant must be finite, got {self.m}")
-
-
-@dataclass(frozen=True, eq=False)
-class DeviationSeries:
-    """Checkpointed deviations F(n) = S(n) - m*n of a summatory series."""
-
-    base: SummatorySeries
-    model: MeanModel
-    deviations: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.deviations) != len(self.base.ns):
-            raise DomainError("deviation array does not match base checkpoints")
-        self.deviations.setflags(write=False)
-
-    @property
-    def ns(self) -> np.ndarray:
-        return self.base.ns
-
-    @property
-    def checkpoints(self) -> list[tuple[int, float]]:
-        return [(int(n), float(f)) for n, f in zip(self.base.ns, self.deviations)]
-
-
 def geometric_ladder(limit: int, ratio: float | None = None) -> np.ndarray:
     """Checkpoint positions ceil(ratio**j) <= limit, deduplicated, plus limit.
 
@@ -179,8 +142,8 @@ def resolve_checkpoints(limit: int, plan=None) -> np.ndarray:
     return np.array(points, dtype=np.int64)
 
 
-def _ordered_segments(kind: FunctionKind, start: int, stop: int, segment_size: int, threads: int):
-    """Yield (lo, hi, values) per segment of [start, stop] in order, sieving ahead.
+def _ordered_segments(kind: FunctionKind, stop: int, segment_size: int, threads: int):
+    """Yield (lo, hi, values) per segment of [1, stop] in order, sieving ahead.
 
     The base primes are sieved once per walk, and each segment gets those up
     to sqrt(hi), so its table is still the one sieve_values(kind, lo, hi) gives.
@@ -191,7 +154,7 @@ def _ordered_segments(kind: FunctionKind, start: int, stop: int, segment_size: i
         own = primes[: int(np.searchsorted(primes, math.isqrt(hi), side="right"))]
         return lo, hi, sieve_values(kind, lo, hi, primes=own).values
 
-    bounds = ((a, min(a + segment_size - 1, stop)) for a in range(start, stop + 1, segment_size))
+    bounds = ((a, min(a + segment_size - 1, stop)) for a in range(1, stop + 1, segment_size))
     if threads <= 1:
         yield from (sieve(lo, hi) for lo, hi in bounds)
         return
@@ -295,12 +258,11 @@ def _prefix_sums(
     kind: FunctionKind,
     cps: np.ndarray,
     *,
-    lo: int = 1,
     segment_size: int = DEFAULT_SEGMENT,
     threads: int = 1,
     squares: bool = False,
 ):
-    """(S, Q) over [lo, n] for each n in cps; Q = sum of f(k)^2, or None.
+    """(S, Q) over [1, n] for each n in cps; Q = sum of f(k)^2, or None.
 
     The one segment walk of the package. Float kinds are reduced over their
     nonzero terms log p, which lie on the 2**-53 grid, their squares on the
@@ -323,7 +285,7 @@ def _prefix_sums(
     q = np.empty_like(s) if squares else None
 
     pos = 0
-    for seg_lo, seg_hi, values in _ordered_segments(kind, lo, int(cps[-1]), segment_size, threads):
+    for seg_lo, seg_hi, values in _ordered_segments(kind, int(cps[-1]), segment_size, threads):
         end = pos + int(np.searchsorted(cps[pos:], seg_hi, side="right"))
         at = cps[pos:end]
         if integer:
@@ -363,32 +325,3 @@ def accumulate(
     sums, _ = _prefix_sums(kind, cps, segment_size=segment_size, threads=threads)
     return SummatorySeries(kind, limit, cps, sums)
 
-
-def deviation_series(series: SummatorySeries, model: MeanModel = MeanModel()) -> DeviationSeries:
-    """F(n) = S(n) - m*n at every checkpoint of the series."""
-    devs = series.sums.astype(np.float64) - model.m * series.ns.astype(np.float64)
-    return DeviationSeries(series, model, devs)
-
-
-def value_at(series: SummatorySeries, n: int, *, segment_size: int = DEFAULT_SEGMENT):
-    """S(n) for any n <= limit, equal to what accumulate reports at n.
-
-    A stored checkpoint is returned as is. Otherwise integer kinds add the
-    gap past the nearest checkpoint below n; Chebyshev kinds reduce [1, n]
-    again, since a rounded checkpoint cannot seed an exact sum.
-
-    Raises:
-        DomainError: n < 1 or n > series.limit.
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if n > series.limit:
-        raise DomainError(f"n={n} exceeds series limit {series.limit}")
-    idx = int(np.searchsorted(series.ns, n, side="right")) - 1
-    if idx >= 0 and int(series.ns[idx]) == n:
-        return series.sums[idx].item()
-    base, start = 0, 1
-    if idx >= 0 and series.kind.is_integer_valued:
-        base, start = series.sums[idx].item(), int(series.ns[idx]) + 1
-    s, _ = _prefix_sums(series.kind, np.array([n]), lo=start, segment_size=segment_size)
-    return base + s[0].item()

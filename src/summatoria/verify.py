@@ -49,7 +49,7 @@ from .moments import (
     prime_adjacent_joint,
 )
 from .scaling import normalized_envelope
-from .series import MeanModel, accumulate, deviation_series
+from .series import accumulate
 
 FULL_SCALE = 10**6
 ORACLE_SCALE = 10**5
@@ -329,7 +329,7 @@ class _Suite:
             envs = []
             for kind in (FunctionKind.MOBIUS, FunctionKind.LIOUVILLE):
                 series = accumulate(kind, self.limit, "geometric", threads=self.threads)
-                env = normalized_envelope(deviation_series(series, MeanModel(0.0)))
+                env = normalized_envelope(series)
                 envs.append(f"{kind.label}_ladder_max={fmt12(env.max_ratio)} "
                             f"{kind.label}_ladder_argmax={env.argmax_n}")
             measured_extra = " " + " ".join(envs)

@@ -19,7 +19,7 @@ from summatoria.kernels import (
     values_from_counts,
 )
 from summatoria.scaling import normalized_envelope
-from summatoria.series import MeanModel, accumulate, deviation_series
+from summatoria.series import accumulate
 
 from conftest import ACCEPTANCE_LINES
 
@@ -81,7 +81,7 @@ def test_criterion_05_sqrt_envelope(suite_outcome):
     t0 = time.monotonic()
     for kind in (FunctionKind.MOBIUS, FunctionKind.LIOUVILLE):
         series = accumulate(kind, ACCEPT_SCALE, "all")
-        env = normalized_envelope(deviation_series(series, MeanModel(0.0)))
+        env = normalized_envelope(series)
         assert env.max_ratio <= 1.5, f"{kind.label}: {env.max_ratio} at n={env.argmax_n}"
     assert time.monotonic() - t0 <= 60.0
 
@@ -132,7 +132,7 @@ def test_criterion_10_runtime_budget(suite_outcome):
     t0 = time.monotonic()
     for kind in (FunctionKind.MOBIUS, FunctionKind.LIOUVILLE):
         series = accumulate(kind, LARGE_SCALE, "geometric", threads=4)
-        env = normalized_envelope(deviation_series(series, MeanModel(0.0)))
+        env = normalized_envelope(series)
         assert env.max_ratio <= 1.5
     assert time.monotonic() - t0 <= 900.0
 

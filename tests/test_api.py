@@ -1,0 +1,68 @@
+"""The public API: what summatoria exports, and names kept out of it."""
+
+import summatoria
+from summatoria import kernels, moments, scaling, series
+
+PUBLIC = [
+    "AdjacentPrimeStats",
+    "CorruptionError",
+    "CoverageReport",
+    "DomainError",
+    "ExponentFit",
+    "FactorCounts",
+    "Factorization",
+    "FunctionKind",
+    "IntegrityError",
+    "LagCovariance",
+    "MomentReport",
+    "ParityCounts",
+    "ResourceError",
+    "SlowGrowthSpec",
+    "SummatoriaError",
+    "SummatorySeries",
+    "ValueTable",
+    "__version__",
+    "accumulate",
+    "chebyshev_bound_coverage",
+    "factor_oracle",
+    "fit_exponent",
+    "fnv1a64",
+    "geometric_ladder",
+    "lag_covariance",
+    "load",
+    "moment_scan",
+    "normalized_envelope",
+    "pair_product_counts",
+    "parity_counts",
+    "prime_adjacent_joint",
+    "primes_upto",
+    "resolve_checkpoints",
+    "save",
+    "sieve_values",
+    "trial_division_counts",
+    "values_from_counts",
+]
+
+#: S(n) is its own deviation and moment_scan reports every per-n moment, so
+#: these wrappers and per-n helpers stay out of their home modules.
+REMOVED = {
+    series: ("MeanModel", "DeviationSeries", "deviation_series", "value_at"),
+    moments: ("sum_of_squares", "covariance_gap", "second_moment_decomposition",
+              "grid_sum_ratio", "_report_at"),
+    scaling: ("slow_growth_check",),
+}
+
+
+def test_all_is_the_sorted_public_list():
+    assert PUBLIC == sorted(PUBLIC)
+    assert summatoria.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert getattr(summatoria, name) is not None, name
+
+
+def test_removed_names_stay_removed():
+    for module, names in REMOVED.items():
+        for name in names:
+            assert not hasattr(summatoria, name), name
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(kernels.ValueTable, "value_at")

@@ -82,6 +82,21 @@ class TestParsers:
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_ladder(bad)
 
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
+        seen = []
+        real = cli_mod.accumulate
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "accumulate", recorded)
+        for threads in ("64", "2", "1"):
+            assert main(["sum", "--kind", "mobius", "--limit", "100", "--threads", threads]) == 0
+        assert main(["sum", "--kind", "mobius", "--limit", "100"]) == 0
+        assert seen == [2, 2, 1, 2]
+
 
 class TestSieveCommand:
     def test_csv_golden(self, tmp_path):

@@ -364,15 +364,13 @@ class TestErrorsAndEdges:
             sieve_values(FunctionKind.MOBIUS, 10**18, 10**18)
         with pytest.raises(ResourceError):
             sieve_values(FunctionKind.MOBIUS, 121, 121, max_segment=10)
-        assert sieve_values(FunctionKind.MOBIUS, 120, 120, max_segment=10).value_at(120) == 0
+        assert sieve_values(FunctionKind.MOBIUS, 120, 120, max_segment=10).values.tolist() == [0]
 
     def test_value_at_bounds(self):
         t = sieve_values(FunctionKind.MOBIUS, 10, 20)
-        assert t.value_at(10) == oracle_value(FunctionKind.MOBIUS, 10)
-        with pytest.raises(DomainError):
-            t.value_at(9)
-        with pytest.raises(DomainError):
-            t.value_at(21)
+        assert len(t) == len(t.values) == 11
+        assert t.values[0] == oracle_value(FunctionKind.MOBIUS, 10)
+        assert t.values[-1] == oracle_value(FunctionKind.MOBIUS, 20)
 
     def test_values_are_read_only(self):
         t = sieve_values(FunctionKind.MOBIUS, 1, 10)

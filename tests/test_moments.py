@@ -9,49 +9,46 @@ from hypothesis import strategies as st
 from summatoria.errors import DomainError, ResourceError
 from summatoria.kernels import FunctionKind, ValueTable, sieve_values
 from summatoria.moments import (
-    covariance_gap,
-    grid_sum_ratio,
+    _report,
     lag_covariance,
     moment_scan,
     pair_product_counts,
     parity_counts,
     prime_adjacent_joint,
-    second_moment_decomposition,
-    sum_of_squares,
 )
-from summatoria.series import _FLOAT_EXACT_LIMIT, SummatorySeries, accumulate
+from summatoria.series import _FLOAT_EXACT_LIMIT, accumulate
 
 
 @pytest.fixture(scope="module")
-def lam_series():
-    return accumulate(FunctionKind.LIOUVILLE, 2000, "all")
+def lam_reports():
+    """The Liouville reports at every n <= 2000; entry n - 1 is the one at n."""
+    return moment_scan(FunctionKind.LIOUVILLE, 2000, "all")
 
 
 @pytest.fixture(scope="module")
-def mob_series():
-    return accumulate(FunctionKind.MOBIUS, 2000, "all")
+def mob_reports():
+    return moment_scan(FunctionKind.MOBIUS, 2000, "all")
 
 
-def constant_one_series(limit):
-    ns = np.arange(1, limit + 1, dtype=np.int64)
-    return SummatorySeries(FunctionKind.PRIME_INDICATOR, limit, ns, ns.copy())
+def constant_one_report(n):
+    """The report for f identically 1: S(n) = Q(n) = n."""
+    return _report(FunctionKind.PRIME_INDICATOR, n, n, n)
 
 
 class TestGridSumRatio:
-    def test_liouville_10(self, lam_series):
-        assert grid_sum_ratio(lam_series, 10) == 0.0
+    def test_liouville_10(self, lam_reports):
+        assert lam_reports[9].grid_ratio == 0.0
 
-    def test_mobius_10(self, mob_series):
-        assert grid_sum_ratio(mob_series, 10) == 0.01
+    def test_mobius_10(self, mob_reports):
+        assert mob_reports[9].grid_ratio == 0.01
 
     def test_constant_series_is_one(self):
-        s = constant_one_series(50)
         for n in (1, 7, 50):
-            assert grid_sum_ratio(s, n) == 1.0
+            assert constant_one_report(n).grid_ratio == 1.0
 
-    def test_rejects_n_zero(self, lam_series):
+    def test_rejects_n_zero(self):
         with pytest.raises(DomainError):
-            grid_sum_ratio(lam_series, 0)
+            moment_scan(FunctionKind.LIOUVILLE, 0)
 
 
 class TestParityCounts:
@@ -106,26 +103,24 @@ class TestPairProducts:
 
 
 class TestCovarianceGap:
-    def test_liouville_2(self, lam_series):
-        assert covariance_gap(lam_series, 2) == -1.0
+    def test_liouville_2(self, lam_reports):
+        assert lam_reports[1].covariance_gap == -1.0
 
-    def test_liouville_10_exact_fraction(self, lam_series):
-        assert covariance_gap(lam_series, 10) == -1.0 / 9.0
+    def test_liouville_10_exact_fraction(self, lam_reports):
+        assert lam_reports[9].covariance_gap == -1.0 / 9.0
 
     def test_constant_series_gap_zero(self):
-        s = constant_one_series(40)
         for n in (2, 11, 40):
-            assert covariance_gap(s, n) == 0.0
+            assert constant_one_report(n).covariance_gap == 0.0
 
-    def test_needs_two_terms(self, lam_series):
-        with pytest.raises(DomainError):
-            covariance_gap(lam_series, 1)
+    def test_needs_two_terms(self, lam_reports):
+        assert lam_reports[0].covariance_gap is None
 
-    def test_zero_sum_anchor_is_closed_form(self, lam_series):
-        zeros = [n for n in range(2, 2001) if int(lam_series.sums[n - 1]) == 0]
+    def test_zero_sum_anchor_is_closed_form(self, lam_reports):
+        zeros = [r for r in lam_reports[1:] if r.sum_S == 0]
         assert zeros, "Liouville summatory has zeros in range"
-        for n in zeros:
-            assert covariance_gap(lam_series, n) == -1.0 / (n - 1)
+        for r in zeros:
+            assert r.covariance_gap == -1.0 / (r.n - 1)
 
     @given(st.integers(min_value=2, max_value=300))
     @settings(max_examples=25, deadline=None)
@@ -137,24 +132,24 @@ class TestCovarianceGap:
             if i != j:
                 pair_sum += int(values[i]) * int(values[j])
         brute = pair_sum / (n * (n - 1)) - (s / n) ** 2
-        series = accumulate(FunctionKind.MOBIUS, n, "all")
-        assert covariance_gap(series, n) == pytest.approx(brute, rel=1e-12, abs=1e-15)
+        gap = moment_scan(FunctionKind.MOBIUS, n, [n])[-1].covariance_gap
+        assert gap == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
 class TestSumOfSquares:
     def test_liouville_shortcut(self):
-        assert sum_of_squares(FunctionKind.LIOUVILLE, 12345) == 12345
+        assert moment_scan(FunctionKind.LIOUVILLE, 12345, [12345])[-1].sum_Q == 12345
 
     def test_mobius_counts_squarefree(self):
         t = sieve_values(FunctionKind.MOBIUS, 1, 1000)
-        assert sum_of_squares(FunctionKind.MOBIUS, 1000, segment_size=130) == int(
-            np.count_nonzero(t.values)
-        )
+        q = moment_scan(FunctionKind.MOBIUS, 1000, [1000], segment_size=130)[-1].sum_Q
+        assert q == int(np.count_nonzero(t.values))
 
     def test_float_kind(self):
         t = sieve_values(FunctionKind.CHEBYSHEV_THETA_TERM, 1, 500)
         want = math.fsum(t.values * t.values)
-        assert sum_of_squares(FunctionKind.CHEBYSHEV_THETA_TERM, 500, segment_size=77) == want
+        r = moment_scan(FunctionKind.CHEBYSHEV_THETA_TERM, 500, [500], segment_size=77)[-1]
+        assert r.sum_Q == want
 
 
 class TestLagCovariance:
@@ -234,24 +229,23 @@ class TestAdjacentPrimes:
 
 
 class TestDecomposition:
-    def test_liouville_10(self, lam_series):
-        assert second_moment_decomposition(lam_series, 10) == (0, 10, -10)
+    def test_liouville_10(self, lam_reports):
+        assert lam_reports[9].decomposition == (0, 10, -10)
 
-    def test_mobius_8(self, mob_series):
-        assert second_moment_decomposition(mob_series, 8) == (4, 6, -2)
+    def test_mobius_8(self, mob_reports):
+        assert mob_reports[7].decomposition == (4, 6, -2)
 
-    def test_single_term(self, mob_series):
-        f2, diag, cross = second_moment_decomposition(mob_series, 1)
+    def test_single_term(self, mob_reports):
+        f2, diag, cross = mob_reports[0].decomposition
         assert (f2, diag, cross) == (1, 1, 0)
 
     @pytest.mark.parametrize("kind", list(FunctionKind), ids=lambda k: k.label)
     def test_identity_exact_across_kinds(self, kind):
-        series = accumulate(kind, 800, "all")
-        for n in (1, 2, 17, 256, 800):
-            f2, diag, cross = second_moment_decomposition(series, n)
+        for r in moment_scan(kind, 800, [1, 2, 17, 256, 800]):
+            f2, diag, cross = r.decomposition
             assert f2 == diag + cross
             if kind.is_integer_valued:
-                assert diag <= n  # diagonal bounded by the term count
+                assert diag <= r.n  # diagonal bounded by the term count
 
     def test_brute_force_cross_sum(self):
         n = 60
@@ -261,21 +255,15 @@ class TestDecomposition:
             for i, j in itertools.product(range(n), repeat=2)
             if i != j
         )
-        series = accumulate(FunctionKind.LIOUVILLE, n, "all")
-        assert second_moment_decomposition(series, n).cross_sum == cross
+        assert moment_scan(FunctionKind.LIOUVILLE, n, [n])[-1].decomposition.cross_sum == cross
 
 
 class TestMomentScan:
-    def test_matches_standalone_ops(self, mob_series):
+    def test_matches_standalone_ops(self):
         reports = moment_scan(FunctionKind.MOBIUS, 2000, "geometric", segment_size=333)
+        series = accumulate(FunctionKind.MOBIUS, 2000, "all")
         for r in reports:
-            assert r.sum_S == int(mob_series.sums[r.n - 1])
-            assert r.grid_ratio == grid_sum_ratio(mob_series, r.n)
-            assert r.decomposition == second_moment_decomposition(mob_series, r.n)
-            if r.n >= 2:
-                assert r.covariance_gap == covariance_gap(mob_series, r.n)
-            else:
-                assert r.covariance_gap is None
+            assert r.sum_S == int(series.sums[r.n - 1])
 
     def test_float_kind_scan(self):
         reports = moment_scan(FunctionKind.CHEBYSHEV_PSI_TERM, 3000, segment_size=450)
@@ -295,16 +283,6 @@ class TestMomentScan:
         assert [r.sum_S for r in reports] == [math.fsum(values[:k]) for k in range(1, n + 1)]
         squares = values * values
         assert [r.sum_Q for r in reports] == [math.fsum(squares[:k]) for k in range(1, n + 1)]
-
-    @pytest.mark.parametrize("kind", list(FunctionKind), ids=lambda k: k.label)
-    def test_helpers_are_views_of_the_scan(self, kind):
-        reports = moment_scan(kind, 1500, [2, 97, 640, 1499])
-        sparse = accumulate(kind, 1500, [1500])
-        for r in reports:
-            assert sum_of_squares(kind, r.n, segment_size=211) == r.sum_Q
-            assert grid_sum_ratio(sparse, r.n) == r.grid_ratio
-            assert covariance_gap(sparse, r.n, segment_size=211) == r.covariance_gap
-            assert second_moment_decomposition(sparse, r.n) == r.decomposition
 
     def test_float_scan_beyond_exact_limit_refused(self):
         with pytest.raises(ResourceError):

@@ -12,24 +12,13 @@ from summatoria.scaling import (
     chebyshev_bound_coverage,
     fit_exponent,
     normalized_envelope,
-    slow_growth_check,
 )
-from summatoria.series import (
-    MeanModel,
-    SummatorySeries,
-    accumulate,
-    deviation_series,
-)
+from summatoria.series import SummatorySeries, accumulate
 
 
-def synthetic_deviation(ns, devs):
+def synthetic_series(ns, sums):
     ns = np.asarray(ns, dtype=np.int64)
-    devs = np.asarray(devs, dtype=np.float64)
-    sums = np.clip(np.round(devs), -ns, ns).astype(np.int64)
-    base = SummatorySeries(FunctionKind.MOBIUS, int(ns[-1]), ns, sums)
-    from summatoria.series import DeviationSeries
-
-    return DeviationSeries(base, MeanModel(0.0), devs)
+    return SummatorySeries(FunctionKind.MOBIUS, int(ns[-1]), ns, np.asarray(sums, dtype=np.int64))
 
 
 class TestFitExponent:
@@ -76,31 +65,30 @@ class TestFitExponent:
 
     def test_mertens_ladder_alpha_in_band(self):
         series = accumulate(FunctionKind.MOBIUS, 10**6)
-        dev = deviation_series(series)
-        samples = [(int(n), abs(float(f))) for n, f in zip(dev.ns, dev.deviations)]
+        samples = [(n, abs(s)) for n, s in series.checkpoints]
         fit = fit_exponent(samples)
         assert 0.2 <= fit.alpha <= 0.75
 
 
 class TestEnvelope:
     def test_zero_series(self):
-        dev = synthetic_deviation([3, 5, 9], [0.0, 0.0, 0.0])
-        assert normalized_envelope(dev) == (0.0, 3)
+        series = synthetic_series([3, 5, 9], [0, 0, 0])
+        assert normalized_envelope(series) == (0.0, 3)
 
     def test_tie_breaks_to_smaller_n(self):
-        dev = synthetic_deviation([4, 16], [2.0, 4.0])  # both ratios exactly 1.0
-        ratio, argmax = normalized_envelope(dev)
+        series = synthetic_series([4, 16], [2, -4])  # both ratios exactly 1.0
+        ratio, argmax = normalized_envelope(series)
         assert ratio == 1.0 and argmax == 4
 
     def test_mertens_to_1e6_peaks_at_start(self):
         series = accumulate(FunctionKind.MOBIUS, 10**6, "all")
-        env = normalized_envelope(deviation_series(series))
+        env = normalized_envelope(series)
         assert env.max_ratio <= 1.0
         assert env.argmax_n == 1
 
     def test_liouville_to_1e4(self):
         series = accumulate(FunctionKind.LIOUVILLE, 10**4, "all")
-        env = normalized_envelope(deviation_series(series))
+        env = normalized_envelope(series)
         assert env.max_ratio <= 1.5
         # measured once with this exact scan, then frozen
         assert env.max_ratio == pytest.approx(1.2903645416728189, rel=1e-12)
@@ -109,33 +97,16 @@ class TestEnvelope:
     def test_refinement_never_decreases(self):
         sparse = accumulate(FunctionKind.LIOUVILLE, 5000)
         dense = accumulate(FunctionKind.LIOUVILLE, 5000, "all")
-        env_sparse = normalized_envelope(deviation_series(sparse))
-        env_dense = normalized_envelope(deviation_series(dense))
+        env_sparse = normalized_envelope(sparse)
+        env_dense = normalized_envelope(dense)
         assert env_dense.max_ratio >= env_sparse.max_ratio
 
 
 class TestSlowGrowth:
-    def test_log_under_sqrt(self):
-        assert slow_growth_check(SlowGrowthSpec.from_name("log"), (2, 10**6), 0.5)
-
-    def test_power_phi_fails_smaller_epsilon(self):
-        assert not slow_growth_check(SlowGrowthSpec.from_name("pow:0.3"), (2, 10**6), 0.1)
-
-    def test_log_squared_against_quarter_power(self):
-        # (log n)^2 overtakes n^0.25 on most of this range (peak ratio ~8.7
-        # near n = 2897), so the check comes out false at this scale
-        assert not slow_growth_check(SlowGrowthSpec.from_name("log2"), (2, 10**6), 0.25)
-
     def test_loglog_stays_positive_from_two(self):
         spec = SlowGrowthSpec.from_name("loglog")
         ns = np.array([2.0, 3.0, 10.0, 10**6])
         assert bool((np.asarray(spec.evaluator(ns)) > 0).all())
-
-    def test_epsilon_validation(self):
-        with pytest.raises(DomainError):
-            slow_growth_check(SlowGrowthSpec.from_name("log"), (2, 100), 0.0)
-        with pytest.raises(DomainError):
-            slow_growth_check(SlowGrowthSpec.from_name("log"), (5, 4), 0.1)
 
     def test_menu_parsing(self):
         assert SlowGrowthSpec.from_name("const").evaluator(17) == 1.0
@@ -151,35 +122,32 @@ class TestSlowGrowth:
 
 class TestCoverage:
     def test_zero_series_full_coverage(self):
-        dev = synthetic_deviation([2, 5, 9], [0.0, 0.0, 0.0])
-        report = chebyshev_bound_coverage(dev, SlowGrowthSpec.from_name("log"))
+        series = synthetic_series([2, 5, 9], [0, 0, 0])
+        report = chebyshev_bound_coverage(series, SlowGrowthSpec.from_name("log"))
         assert report.fraction == 1.0
 
     def test_mertens_log_coverage_full(self):
         series = accumulate(FunctionKind.MOBIUS, 10**6, "all")
-        dev = deviation_series(series)
-        report = chebyshev_bound_coverage(dev, SlowGrowthSpec.from_name("log"))
+        report = chebyshev_bound_coverage(series, SlowGrowthSpec.from_name("log"))
         assert report.fraction == 1.0
         assert report.total == 10**6 - 1  # n = 1 excluded
 
     def test_tiny_constant_violated_somewhere(self):
         series = accumulate(FunctionKind.MOBIUS, 10**6, "all")
-        dev = deviation_series(series)
-        report = chebyshev_bound_coverage(dev, SlowGrowthSpec.from_name("const:0.01"))
+        report = chebyshev_bound_coverage(series, SlowGrowthSpec.from_name("const:0.01"))
         assert report.fraction < 1.0
         # measured once with this exact scan, then frozen
         assert report.satisfied == 52052
 
     def test_monotone_in_phi(self):
         series = accumulate(FunctionKind.LIOUVILLE, 20000, "all")
-        dev = deviation_series(series)
-        f_small = chebyshev_bound_coverage(dev, SlowGrowthSpec.from_name("const:0.2")).fraction
-        f_big = chebyshev_bound_coverage(dev, SlowGrowthSpec.from_name("const:2")).fraction
+        f_small = chebyshev_bound_coverage(series, SlowGrowthSpec.from_name("const:0.2")).fraction
+        f_big = chebyshev_bound_coverage(series, SlowGrowthSpec.from_name("const:2")).fraction
         assert f_small <= f_big
 
     def test_nonpositive_phi_rejected(self):
-        dev = synthetic_deviation([2, 5], [1.0, 1.0])
+        series = synthetic_series([2, 5], [1, -1])
 
         bad = SlowGrowthSpec("bad", lambda n: np.zeros_like(np.asarray(n, dtype=float)))
         with pytest.raises(DomainError):
-            chebyshev_bound_coverage(dev, bad)
+            chebyshev_bound_coverage(series, bad)

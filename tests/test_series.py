@@ -14,15 +14,11 @@ from summatoria.series import (
     _FLOAT_EXACT_LIMIT,
     DEFAULT_MAX_LIMIT,
     DEFAULT_SEGMENT,
-    DeviationSeries,
-    MeanModel,
     SummatorySeries,
     _ExactRun,
     accumulate,
-    deviation_series,
     geometric_ladder,
     resolve_checkpoints,
-    value_at,
 )
 
 
@@ -84,32 +80,19 @@ class TestLadder:
 
 
 class TestDeviation:
-    def test_zero_model_is_identity(self):
-        s = accumulate(FunctionKind.LIOUVILLE, 500)
-        d = deviation_series(s)
-        assert np.array_equal(d.deviations, s.sums.astype(float))
+    """Every kind has zero density, so S(n) is its own deviation from the mean."""
 
     def test_mertens_at_10(self):
         s = accumulate(FunctionKind.MOBIUS, 10, "all")
-        d = deviation_series(s, MeanModel(0.0))
-        assert d.deviations[-1] == -1.0
-
-    def test_constant_density_cancels(self):
-        # synthetic S(n) = n, the prefix sums of f identically 1
-        ns = np.arange(1, 21, dtype=np.int64)
-        s = SummatorySeries(FunctionKind.PRIME_INDICATOR, 20, ns, ns.copy())
-        d = deviation_series(s, MeanModel(1.0))
-        assert np.all(d.deviations == 0.0)
-
-    def test_mean_model_must_be_finite(self):
-        with pytest.raises(DomainError):
-            MeanModel(math.inf)
+        assert s.final_sum == -1
 
     def test_checkpoints_property(self):
-        s = accumulate(FunctionKind.MOBIUS, 10, "all")
-        d = deviation_series(s)
-        assert d.checkpoints[-1] == (10, -1.0)
-        assert d.ns is s.ns
+        s = accumulate(FunctionKind.MOBIUS, 10, [4, 10])
+        assert s.checkpoints == [(4, -1), (10, -1)]
+        assert all(type(v) is int for _, v in s.checkpoints)
+        ((n, theta),) = accumulate(FunctionKind.CHEBYSHEV_THETA_TERM, 10, [10]).checkpoints
+        assert n == 10 and type(theta) is float
+        assert theta == pytest.approx(math.log(210), rel=1e-14)
 
 
 class TestSeriesInvariants:
@@ -143,9 +126,9 @@ class TestPrefixAdditivity:
     def test_differences_match_fresh_segments(self, a, b):
         if a > b:
             a, b = b, a
-        series = accumulate(FunctionKind.MOBIUS, 4000)
+        at = dict(accumulate(FunctionKind.MOBIUS, 4000, [a, b]).checkpoints)
         gap = sieve_values(FunctionKind.MOBIUS, a + 1, b).values if a < b else np.array([], dtype=np.int8)
-        assert value_at(series, b) - value_at(series, a) == int(gap.astype(np.int64).sum())
+        assert at[b] - at[a] == int(gap.astype(np.int64).sum())
 
 
 B = 1 << 12
@@ -235,32 +218,29 @@ class TestIntegerReadout:
 
 
 class TestValueAt:
+    """S(n) at any n <= limit, read through explicit checkpoints."""
+
     def test_examples(self):
-        m = accumulate(FunctionKind.MOBIUS, 10, "all")
-        assert value_at(m, 10) == -1
-        l = accumulate(FunctionKind.LIOUVILLE, 10)
-        assert value_at(l, 1) == 1
-        p = accumulate(FunctionKind.PRIME_INDICATOR, 10)
-        assert value_at(p, 10) == 4
+        assert accumulate(FunctionKind.MOBIUS, 10, [10]).final_sum == -1
+        assert accumulate(FunctionKind.LIOUVILLE, 10, [1]).checkpoints[0] == (1, 1)
+        assert accumulate(FunctionKind.PRIME_INDICATOR, 10, [10]).final_sum == 4
 
     def test_gap_rescan_matches_dense(self):
         dense = accumulate(FunctionKind.LIOUVILLE, 3000, "all")
-        sparse = accumulate(FunctionKind.LIOUVILLE, 3000)
-        for n in (1, 2, 17, 100, 1234, 2999, 3000):
-            assert value_at(sparse, n, segment_size=577) == int(dense.sums[n - 1])
+        ns = [1, 2, 17, 100, 1234, 2999, 3000]
+        sparse = accumulate(FunctionKind.LIOUVILLE, 3000, ns, segment_size=577)
+        assert sparse.sums.tolist() == dense.sums[np.array(ns) - 1].tolist()
 
     def test_beyond_limit_rejected(self):
-        s = accumulate(FunctionKind.MOBIUS, 100)
         with pytest.raises(DomainError):
-            value_at(s, 101)
+            accumulate(FunctionKind.MOBIUS, 100, [101])
         with pytest.raises(DomainError):
-            value_at(s, 0)
+            accumulate(FunctionKind.MOBIUS, 100, [0])
 
     def test_float_kind_gap(self):
         dense = accumulate(FunctionKind.CHEBYSHEV_THETA_TERM, 2000, "all")
-        sparse = accumulate(FunctionKind.CHEBYSHEV_THETA_TERM, 2000, [2000])
-        got = value_at(sparse, 1234, segment_size=300)
-        assert got == float(dense.sums[1233])
+        sparse = accumulate(FunctionKind.CHEBYSHEV_THETA_TERM, 2000, [1234, 2000], segment_size=300)
+        assert sparse.sums[0] == dense.sums[1233]
 
 
 class TestParityBalanceConsistency:
@@ -328,11 +308,9 @@ class TestFloatAccuracy:
         values = sieve_values(kind, 1, limit).values
         ns = np.random.default_rng(7).choice(np.arange(1, limit), 50, replace=False)
         want = [math.fsum(values[:n]) for n in sorted(ns)] + [math.fsum(values)]
-        for segment_size, threads in ((1 << 22, 1), (997, 1), (4096, 3)):
+        for segment_size, threads in ((1 << 22, 1), (997, 1), (613, 1), (4096, 3)):
             series = accumulate(kind, limit, ns, segment_size=segment_size, threads=threads)
             assert series.sums.tolist() == want
-        sparse = accumulate(kind, limit, [limit])
-        assert [value_at(sparse, int(n), segment_size=613) for n in sorted(ns)] == want[:-1]
 
 
 class TestFloatExactRange:
