@@ -37,6 +37,8 @@ from .verify import fmt12
 DENSE_SCAN_LIMIT = 10**6
 #: Rows of a sum report converted to Python scalars at a time.
 _ROWS_PER_STEP = 1 << 12
+#: The columns of a stats report, one per MomentReport value.
+_STATS_FIELDS = ("n", "S", "Q", "grid_ratio", "cov_gap", "F2", "diag", "cross")
 
 
 def parse_limit(text: str) -> int:
@@ -148,12 +150,11 @@ def _emit(text: str, output) -> None:
         Path(output).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _num(kind: FunctionKind, v) -> str:
-    return str(int(v)) if kind.is_integer_valued else fmt12(v)
-
-
-def _json_num(kind: FunctionKind, v):
-    return int(v) if kind.is_integer_valued else float(v)
+def _cell(v) -> str:
+    """One CSV cell: empty for None, 12 significant digits for a float."""
+    if v is None:
+        return ""
+    return fmt12(v) if isinstance(v, float) else str(v)
 
 
 def _try_cached_series(cache_dir, kind, limit, cps, threads):
@@ -246,43 +247,21 @@ def cmd_sum(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    reports = moment_scan(args.kind, args.limit, args.ladder)
+    rows = [(r.n, r.sum_S, r.sum_Q, r.grid_ratio, r.covariance_gap, *r.decomposition)
+            for r in moment_scan(args.kind, args.limit, args.ladder)]
     adjacent = None
     if args.kind is FunctionKind.PRIME_INDICATOR and args.limit >= 5:
         adjacent = prime_adjacent_joint(args.limit)
     if args.format == "csv":
-        lines = ["n,S,Q,grid_ratio,cov_gap,F2,diag,cross"]
-        for r in reports:
-            gap = "" if r.covariance_gap is None else fmt12(r.covariance_gap)
-            f2, diag, cross = r.decomposition
-            lines.append(
-                f"{r.n},{_num(r.kind, r.sum_S)},{_num(r.kind, r.sum_Q)},"
-                f"{fmt12(r.grid_ratio)},{gap},"
-                f"{_num(r.kind, f2)},{_num(r.kind, diag)},{_num(r.kind, cross)}"
-            )
+        lines = [",".join(_STATS_FIELDS), *(",".join(map(_cell, row)) for row in rows)]
         if adjacent is not None:
             lines.append(f"# prime_adjacent joint={fmt12(adjacent.joint)} product={fmt12(adjacent.product)}")
         _emit("\n".join(lines) + "\n", args.output)
     else:
-        doc = {
-            "kind": args.kind.label,
-            "limit": args.limit,
-            "reports": [
-                {
-                    "n": r.n,
-                    "S": _json_num(r.kind, r.sum_S),
-                    "Q": _json_num(r.kind, r.sum_Q),
-                    "grid_ratio": r.grid_ratio,
-                    "cov_gap": r.covariance_gap,
-                    "F2": _json_num(r.kind, r.decomposition.f_squared),
-                    "diag": _json_num(r.kind, r.decomposition.diag_sum),
-                    "cross": _json_num(r.kind, r.decomposition.cross_sum),
-                }
-                for r in reports
-            ],
-        }
+        reports = [dict(zip(_STATS_FIELDS, row)) for row in rows]
+        doc = {"kind": args.kind.label, "limit": args.limit, "reports": reports}
         if adjacent is not None:
-            doc["prime_adjacent"] = {"joint": adjacent.joint, "product": adjacent.product}
+            doc["prime_adjacent"] = adjacent._asdict()
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 
@@ -303,40 +282,24 @@ def cmd_scaling(args) -> int:
     envelope = normalized_envelope(series)
     coverage = chebyshev_bound_coverage(series, phi)
 
+    doc = {
+        "kind": args.kind.label,
+        "limit": args.limit,
+        "phi": phi.name,
+        "alpha": fit.alpha,
+        "log_c": fit.log_c,
+        "r_squared": fit.r_squared,
+        "samples_used": fit.samples_used,
+        "residual_max": fit.residual_max,
+        "max_ratio": envelope.max_ratio,
+        "argmax_n": envelope.argmax_n,
+        "coverage_fraction": coverage.fraction,
+        "coverage_satisfied": coverage.satisfied,
+        "coverage_total": coverage.total,
+    }
     if args.format == "csv":
-        lines = [
-            "key,value",
-            f"kind,{args.kind.label}",
-            f"limit,{args.limit}",
-            f"phi,{phi.name}",
-            f"alpha,{fmt12(fit.alpha)}",
-            f"log_c,{fmt12(fit.log_c)}",
-            f"r_squared,{fmt12(fit.r_squared)}",
-            f"samples_used,{fit.samples_used}",
-            f"residual_max,{fmt12(fit.residual_max)}",
-            f"max_ratio,{fmt12(envelope.max_ratio)}",
-            f"argmax_n,{envelope.argmax_n}",
-            f"coverage_fraction,{fmt12(coverage.fraction)}",
-            f"coverage_satisfied,{coverage.satisfied}",
-            f"coverage_total,{coverage.total}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit("key,value\n" + "".join(f"{key},{_cell(v)}\n" for key, v in doc.items()), args.output)
     else:
-        doc = {
-            "kind": args.kind.label,
-            "limit": args.limit,
-            "phi": phi.name,
-            "alpha": fit.alpha,
-            "log_c": fit.log_c,
-            "r_squared": fit.r_squared,
-            "samples_used": fit.samples_used,
-            "residual_max": fit.residual_max,
-            "max_ratio": envelope.max_ratio,
-            "argmax_n": envelope.argmax_n,
-            "coverage_fraction": coverage.fraction,
-            "coverage_satisfied": coverage.satisfied,
-            "coverage_total": coverage.total,
-        }
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 

@@ -236,7 +236,7 @@ def moment_scan(
 
     Raises:
         DomainError: limit < 1, segment_size < 1 or a malformed plan.
-        ResourceError: a float kind past the exact-summation limit.
+        ResourceError: limit > DEFAULT_MAX_LIMIT, or a float kind past the exact-summation limit.
     """
     cps = resolve_checkpoints(limit, checkpoint_plan)
     s_at, q_at = _prefix_sums(kind, cps, segment_size=segment_size, squares=True)

@@ -117,15 +117,18 @@ def geometric_ladder(limit: int, ratio: float | None = None) -> np.ndarray:
     return np.array(sorted(points), dtype=np.int64)
 
 
-def resolve_checkpoints(limit: int, plan=None) -> np.ndarray:
+def resolve_checkpoints(limit: int, plan=None, *, max_limit: int = DEFAULT_MAX_LIMIT) -> np.ndarray:
     """Turn a checkpoint plan into an ascending int64 array ending at limit.
 
     Accepted plans: None or "geometric" (default ladder), "all" (every n),
     a numeric ratio > 1, or an explicit iterable of positions. Explicit
     positions are deduplicated, sorted, and extended with limit if absent.
+    A limit above max_limit raises ResourceError before any allocation.
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
+    if limit > max_limit:
+        raise ResourceError(f"limit {limit} exceeds the configured maximum {max_limit}")
     if plan is None or (isinstance(plan, str) and plan == "geometric"):
         return geometric_ladder(limit)
     if isinstance(plan, str):
@@ -155,7 +158,7 @@ def _ordered_segments(kind: FunctionKind, stop: int, segment_size: int, threads:
         return lo, hi, sieve_values(kind, lo, hi, primes=own).values
 
     bounds = ((a, min(a + segment_size - 1, stop)) for a in range(1, stop + 1, segment_size))
-    if threads <= 1:
+    if threads <= 1 or stop <= segment_size:  # one segment overlaps nothing
         yield from (sieve(lo, hi) for lo, hi in bounds)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -319,9 +322,7 @@ def accumulate(
         DomainError: limit < 1, segment_size < 1 or a malformed plan.
         ResourceError: limit > max_limit, or a float kind past _FLOAT_EXACT_LIMIT.
     """
-    if limit > max_limit:
-        raise ResourceError(f"limit {limit} exceeds the configured maximum {max_limit}")
-    cps = resolve_checkpoints(limit, checkpoint_plan)
+    cps = resolve_checkpoints(limit, checkpoint_plan, max_limit=max_limit)
     sums, _ = _prefix_sums(kind, cps, segment_size=segment_size, threads=threads)
     return SummatorySeries(kind, limit, cps, sums)
 

@@ -6,11 +6,12 @@ time, and collects the results. The machine-readable report (CSV or JSON)
 contains only deterministic fields, never timings, so two runs of
 `verify --limit 1e6` emit byte-identical reports regardless of threads.
 
-The suite is a client of the package: the second moments that criteria 2
+The suite is a client of the package. The second moments that criteria 2
 and 4 check are read from moment_scan, the same reducer the `stats`
-subcommand reports, and criterion 1 compares the sieves with
-trial_division_counts, trial division over the whole array
-1..min(limit, 10**5) at once, mapped to the five kinds by
+subcommand reports, and criterion 5 is normalized_envelope, the envelope
+the `scaling` subcommand reports. Criterion 1 sieves each kind over
+[1, min(limit, 10**5)] and compares it with trial_division_counts, trial
+division over that whole array at once, mapped to the five kinds by
 values_from_counts.
 
 Criteria whose thresholds were frozen at the default scale (10**6) switch
@@ -49,7 +50,7 @@ from .moments import (
     prime_adjacent_joint,
 )
 from .scaling import normalized_envelope
-from .series import accumulate
+from .series import SummatorySeries, accumulate
 
 FULL_SCALE = 10**6
 ORACLE_SCALE = 10**5
@@ -115,45 +116,35 @@ class _Suite:
         self.t0 = time.monotonic()
 
         n = self.scale
-        self.t_mob = sieve_values(FunctionKind.MOBIUS, 1, n)
-        self.t_lam = sieve_values(FunctionKind.LIOUVILLE, 1, n)
-        self.t_pri = sieve_values(FunctionKind.PRIME_INDICATOR, 1, n)
-        self.mob_prefix = np.cumsum(self.t_mob.values, dtype=np.int64)
-        self.lam_prefix = np.cumsum(self.t_lam.values, dtype=np.int64)
-        self.scans = {kind: moment_scan(kind, n, "geometric")
+        self.tables = {kind: sieve_values(kind, 1, n) for kind in FunctionKind if kind.is_integer_valued}
+        # S(n) at every n <= scale, for the two ±1/0 kinds the paper studies.
+        self.dense = {kind: SummatorySeries(kind, n, np.arange(1, n + 1, dtype=np.int64),
+                                            np.cumsum(self.tables[kind].values, dtype=np.int64))
                       for kind in (FunctionKind.MOBIUS, FunctionKind.LIOUVILLE)}
+        self.scans = {kind: moment_scan(kind, n, "geometric") for kind in self.dense}
 
     def oracle_equivalence(self):
         n_max = min(self.limit, ORACLE_SCALE)
-        tables = {
-            FunctionKind.MOBIUS: self.t_mob.values[:n_max],
-            FunctionKind.LIOUVILLE: self.t_lam.values[:n_max],
-            FunctionKind.PRIME_INDICATOR: self.t_pri.values[:n_max],
-            FunctionKind.CHEBYSHEV_PSI_TERM: sieve_values(
-                FunctionKind.CHEBYSHEV_PSI_TERM, 1, n_max
-            ).values,
-            FunctionKind.CHEBYSHEV_THETA_TERM: sieve_values(
-                FunctionKind.CHEBYSHEV_THETA_TERM, 1, n_max
-            ).values,
-        }
         counts = trial_division_counts(n_max)
-        mismatches = sum(int(np.count_nonzero(values_from_counts(kind, counts) != table))
-                         for kind, table in tables.items())
+        mismatches = sum(
+            int(np.count_nonzero(values_from_counts(kind, counts) != sieve_values(kind, 1, n_max).values))
+            for kind in FunctionKind
+        )
         status = "PASS" if mismatches == 0 else "FAIL"
         return status, f"checked={n_max} kinds=5 mismatches={mismatches}"
 
     def exact_identities(self):
         bad = 0
         points = 0
-        for table, prefix in ((self.t_mob, self.mob_prefix), (self.t_lam, self.lam_prefix)):
-            for r in self.scans[table.kind]:
+        for kind, series in self.dense.items():
+            for r in self.scans[kind]:
                 points += 1
-                counts = parity_counts(table, r.n)
+                counts = parity_counts(self.tables[kind], r.n)
                 pairs = pair_product_counts(counts)
                 s, q = r.sum_S, r.sum_Q
                 f2, diag, cross = r.decomposition
                 ok = (
-                    s == int(prefix[r.n - 1])
+                    s == int(series.sums[r.n - 1])
                     and s == counts.n_plus - counts.n_minus
                     and q == counts.n_plus + counts.n_minus
                     and f2 == diag + cross
@@ -172,9 +163,10 @@ class _Suite:
         n_lo = max(2, n_hi // 1000)
         parts = []
         ok = True
-        for label, prefix in (("mobius", self.mob_prefix), ("liouville", self.lam_prefix)):
-            r_hi = (int(prefix[n_hi - 1]) / n_hi) ** 2
-            r_lo = (int(prefix[n_lo - 1]) / n_lo) ** 2
+        for kind, series in self.dense.items():
+            label = kind.label
+            r_hi = (int(series.sums[n_hi - 1]) / n_hi) ** 2
+            r_lo = (int(series.sums[n_lo - 1]) / n_lo) ** 2
             factor = r_lo / r_hi if r_hi > 0 else math.inf
             parts.append(f"{label}_ratio_lo={fmt12(r_lo)} {label}_ratio_hi={fmt12(r_hi)} "
                          f"{label}_factor={fmt12(factor) if factor != math.inf else 'inf'}")
@@ -191,7 +183,7 @@ class _Suite:
         if not gaps:
             return "SKIP", "note=no-ladder-points-above-100"
         worst = max(gaps)
-        zeros = np.nonzero(self.lam_prefix == 0)[0]
+        zeros = np.nonzero(self.dense[FunctionKind.LIOUVILLE].sums == 0)[0]
         anchor_ok = True
         anchor_n = None
         if len(zeros):
@@ -204,16 +196,11 @@ class _Suite:
         return "PASS" if ok else "FAIL", measured
 
     def sqrt_envelope(self):
-        roots = np.sqrt(np.arange(1, self.scale + 1, dtype=np.float64))
-        parts = []
-        ok = True
-        for label, prefix in (("mobius", self.mob_prefix), ("liouville", self.lam_prefix)):
-            ratios = np.abs(prefix) / roots
-            i = int(np.argmax(ratios))
-            parts.append(f"{label}_max={fmt12(ratios[i])} {label}_argmax={i + 1}")
-            if not ratios[i] <= 1.5:
-                ok = False
-        return "PASS" if ok else "FAIL", " ".join(parts)
+        envs = {kind: normalized_envelope(series) for kind, series in self.dense.items()}
+        measured = " ".join(f"{kind.label}_max={fmt12(env.max_ratio)} {kind.label}_argmax={env.argmax_n}"
+                            for kind, env in envs.items())
+        ok = all(env.max_ratio <= 1.5 for env in envs.values())
+        return "PASS" if ok else "FAIL", measured
 
     def growth_bound_coverage(self):
         if self.scale < 10:
@@ -223,8 +210,9 @@ class _Suite:
         bound_small = np.sqrt(ns) * 0.01
         parts = []
         ok = True
-        for label, prefix in (("mobius", self.mob_prefix), ("liouville", self.lam_prefix)):
-            devs = np.abs(prefix[1:])
+        for kind, series in self.dense.items():
+            label = kind.label
+            devs = np.abs(series.sums[1:])
             frac_log = np.count_nonzero(devs <= bound_log) / len(ns)
             frac_small = np.count_nonzero(devs <= bound_small) / len(ns)
             parts.append(f"{label}_log={fmt12(frac_log)} {label}_const0.01={fmt12(frac_small)}")
@@ -235,9 +223,10 @@ class _Suite:
     def adjacent_prime_dependence(self):
         if self.scale < 5:
             return "SKIP", "note=needs-limit>=5"
-        stats = prime_adjacent_joint(self.scale, table=self.t_pri)
-        lc_prime = lag_covariance(self.t_pri, 1, (3, self.scale))
-        lc_lam = lag_covariance(self.t_lam, 1, (3, self.scale))
+        primes = self.tables[FunctionKind.PRIME_INDICATOR]
+        stats = prime_adjacent_joint(self.scale, table=primes)
+        lc_prime = lag_covariance(primes, 1, (3, self.scale))
+        lc_lam = lag_covariance(self.tables[FunctionKind.LIOUVILLE], 1, (3, self.scale))
         factor = (abs(lc_prime.corr) / abs(lc_lam.corr)) if lc_lam.corr != 0 else math.inf
         measured = (f"joint={fmt12(stats.joint)} product={fmt12(stats.product)} "
                     f"corr_prime={fmt12(lc_prime.corr)} corr_liouville={fmt12(lc_lam.corr)} "
@@ -250,10 +239,12 @@ class _Suite:
 
     def thread_determinism(self):
         many = max(2, self.threads)
-        a = accumulate(FunctionKind.MOBIUS, self.scale, "geometric", threads=1)
-        b = accumulate(FunctionKind.MOBIUS, self.scale, "geometric", threads=many)
-        ints_equal = np.array_equal(a.ns, b.ns) and np.array_equal(a.sums, b.sums)
+        # Several segments each, so that the pool really runs on `many` threads.
         segment = max(1, self.scale // 7)
+        a = accumulate(FunctionKind.MOBIUS, self.scale, "geometric", threads=1, segment_size=segment)
+        b = accumulate(FunctionKind.MOBIUS, self.scale, "geometric", threads=many,
+                       segment_size=segment)
+        ints_equal = np.array_equal(a.ns, b.ns) and np.array_equal(a.sums, b.sums)
         c = accumulate(FunctionKind.CHEBYSHEV_PSI_TERM, self.scale, "geometric",
                        threads=1, segment_size=segment)
         d = accumulate(FunctionKind.CHEBYSHEV_PSI_TERM, self.scale, "geometric",

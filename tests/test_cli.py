@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from summatoria import cli as cli_mod
+from summatoria import series as series_mod
 from summatoria import verify as verify_mod
 from summatoria.cache import load
 from summatoria.cli import fmt12, main, parse_kind, parse_ladder, parse_limit
@@ -355,6 +356,40 @@ class TestScalingCommand:
         check("scaling", json.loads(out.read_text()))
 
 
+@pytest.mark.parametrize("kind", [k.label for k in FunctionKind])
+class TestCsvMatchesJson:
+    """Every CSV cell is _cell of the JSON value of the same field."""
+
+    def reports(self, tmp_path, *argv):
+        out = {}
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"report.{fmt}"
+            assert run_cli(*argv, "--format", fmt, output=path)[0] == 0
+            out[fmt] = path.read_text()
+        return out["csv"].splitlines(), json.loads(out["json"])
+
+    def test_stats(self, kind, tmp_path):
+        for ladder in ("geometric", "all"):
+            lines, doc = self.reports(tmp_path, "stats", "--kind", kind, "--limit", "300",
+                                      "--ladder", ladder)
+            rows = doc["reports"]
+            if "prime_adjacent" in doc:
+                joint, product = (cli_mod._cell(v) for v in doc["prime_adjacent"].values())
+                assert lines.pop() == f"# prime_adjacent joint={joint} product={product}"
+            assert lines[0].split(",") == list(rows[0])
+            assert len(lines) == len(rows) + 1
+            for line, row in zip(lines[1:], rows):
+                assert line.split(",") == [cli_mod._cell(v) for v in row.values()]
+
+    def test_scaling(self, kind, tmp_path):
+        lines, doc = self.reports(tmp_path, "scaling", "--kind", kind, "--limit", "10000",
+                                  "--phi", "pow:0.3")
+        assert lines[0] == "key,value"
+        assert [line.split(",") for line in lines[1:]] == [
+            [key, cli_mod._cell(v)] for key, v in doc.items()
+        ]
+
+
 class TestVerifyCommand:
     def test_small_scale_run_matches_schema(self, tmp_path):
         for limit in ("1", "2", "5", "1000"):
@@ -440,6 +475,30 @@ class TestExitCodes:
     def test_resource_error_exits_three(self, capsys):
         assert main(["sum", "--kind", "mobius", "--limit", "2e9"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--kind", "mobius", "--limit", "2e9"],
+        ["sum", "--kind", "mobius", "--limit", "2e9", "--ladder", "all"],
+    ], ids=["stats", "sum-all"])
+    def test_past_max_limit_exits_three_before_allocating(self, argv, monkeypatch, capsys):
+        class GuardedNumpy:
+            """numpy, except that arange refuses more than 10**8 entries."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def arange(*args, **kwargs):
+                assert len(range(*args)) <= 10**8, "unguarded arange"
+                return np.arange(*args, **kwargs)
+
+        def walk(*args, **kwargs):
+            raise AssertionError("started the segment walk")
+
+        monkeypatch.setattr(series_mod, "np", GuardedNumpy())
+        monkeypatch.setattr(series_mod, "_ordered_segments", walk)
+        assert main(argv) == 3
+        assert "exceeds the configured maximum" in capsys.readouterr().err
 
     def test_sieve_past_the_base_prime_cap_exits_three_at_once(self, capsys):
         t0 = time.monotonic()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summatoria import kernels
+from summatoria import series as series_mod
 from summatoria.errors import DomainError, ResourceError
 from summatoria.kernels import FunctionKind, sieve_values
 from summatoria.moments import moment_scan
@@ -77,6 +78,13 @@ class TestLadder:
 
     def test_ratio_plan(self):
         assert resolve_checkpoints(64, 2.0).tolist() == [1, 2, 4, 8, 16, 32, 64]
+
+    def test_limit_cap_before_the_ladder(self):
+        assert resolve_checkpoints(100, "all", max_limit=100)[-1] == 100
+        with pytest.raises(ResourceError):
+            resolve_checkpoints(101, "all", max_limit=100)
+        with pytest.raises(ResourceError):
+            resolve_checkpoints(DEFAULT_MAX_LIMIT + 1)
 
 
 class TestDeviation:
@@ -277,6 +285,17 @@ class TestDeterminism:
             monkeypatch.undo()
             assert calls == [math.isqrt(30000)]
             assert np.array_equal(split.sums, whole.sums)
+
+    def test_pool_only_for_a_walk_of_several_segments(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("started a thread pool")
+
+        whole = accumulate(FunctionKind.MOBIUS, 5000, "all")
+        monkeypatch.setattr(series_mod, "ThreadPoolExecutor", refuse)
+        one = accumulate(FunctionKind.MOBIUS, 5000, "all", threads=2, segment_size=5000)
+        assert np.array_equal(one.sums, whole.sums)
+        with pytest.raises(AssertionError, match="thread pool"):
+            accumulate(FunctionKind.MOBIUS, 5000, "all", threads=2, segment_size=4999)
 
     def test_base_primes_past_the_cap_refused_before_sieving(self, monkeypatch):
         def refuse(limit):
