@@ -32,7 +32,7 @@ from .kernels import (
 from .moments import (
     AdjacentPrimeStats,
     LagCovariance,
-    MomentReport,
+    MomentTable,
     ParityCounts,
     lag_covariance,
     moment_scan,
@@ -68,7 +68,7 @@ __all__ = [
     "FunctionKind",
     "IntegrityError",
     "LagCovariance",
-    "MomentReport",
+    "MomentTable",
     "ParityCounts",
     "ResourceError",
     "SlowGrowthSpec",

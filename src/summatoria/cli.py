@@ -23,7 +23,7 @@ from . import verify as verify_mod
 from .cache import ENV_CACHE_DIR, load, save, series_filename
 from .errors import DomainError, ResourceError, SummatoriaError
 from .kernels import KIND_BY_LABEL, FunctionKind, sieve_values
-from .moments import moment_scan, prime_adjacent_joint
+from .moments import MomentTable, moment_scan, prime_adjacent_joint
 from .scaling import (
     SlowGrowthSpec,
     chebyshev_bound_coverage,
@@ -35,10 +35,10 @@ from .verify import fmt12
 
 #: Above this limit, scaling reports switch from all-n to ladder checkpoints.
 DENSE_SCAN_LIMIT = 10**6
-#: Rows of a sum report converted to Python scalars at a time.
+#: Rows of a report converted to Python scalars at a time.
 _ROWS_PER_STEP = 1 << 12
-#: The columns of a stats report, one per MomentReport value.
-_STATS_FIELDS = ("n", "S", "Q", "grid_ratio", "cov_gap", "F2", "diag", "cross")
+#: The columns of a stats report, one per MomentTable column.
+_STATS_FIELDS = MomentTable._fields[1:]
 
 
 def parse_limit(text: str) -> int:
@@ -150,11 +150,35 @@ def _emit(text: str, output) -> None:
         Path(output).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _cell(v) -> str:
-    """One CSV cell: empty for None, 12 significant digits for a float."""
-    if v is None:
-        return ""
-    return fmt12(v) if isinstance(v, float) else str(v)
+def _report_rows(fields, columns, csv: bool):
+    """Rows of equal-length columns: CSV text _ROWS_PER_STEP rows at a time, or one dict per row.
+
+    An int column prints with str and a float column with 12 significant
+    digits, as fmt12; a NaN is an empty CSV cell or a JSON null. A step at
+    a time keeps no Python object per row of the whole report.
+    """
+    for i in range(0, len(columns[0]), _ROWS_PER_STEP):
+        cells = []
+        for col in columns:
+            col = col[i : i + _ROWS_PER_STEP]
+            if not csv:
+                step = col.tolist()
+            elif col.dtype.kind == "f":  # + 0.0 turns -0.0 into 0.0, as fmt12 does
+                step = list(map("{:.12g}".format, (col + 0.0).tolist()))
+            else:
+                step = list(map(str, col.tolist()))
+            for j in np.flatnonzero(np.isnan(col)).tolist():
+                step[j] = "" if csv else None
+            cells.append(step)
+        if csv:
+            yield "\n".join(map(",".join, zip(*cells)))
+        else:
+            yield from (dict(zip(fields, row)) for row in zip(*cells))
+
+
+def _csv(fields, columns, *footer: str) -> str:
+    """A CSV report: the header, one line per row of the columns, then the footer lines."""
+    return "\n".join([",".join(fields), *_report_rows(fields, columns, True), *footer]) + "\n"
 
 
 def _try_cached_series(cache_dir, kind, limit, cps, threads):
@@ -204,62 +228,39 @@ def cmd_sieve(args) -> int:
             raise DomainError("--binary needs --output")
         save(args.output, table)
         return 0
-    values = table.values.tolist()
     if args.format == "csv":
-        cells = values if table.kind.is_integer_valued else map(fmt12, values)
-        rows = "\n".join(map("{},{}".format, range(table.lo, table.hi + 1), cells))
-        _emit(f"k,f\n{rows}\n", args.output)
+        _emit(_csv(("k", "f"), (np.arange(table.lo, table.hi + 1), table.values)), args.output)
     else:
-        doc = {"kind": table.kind.label, "lo": table.lo, "hi": table.hi, "values": values}
+        doc = {"kind": table.kind.label, "lo": table.lo, "hi": table.hi, "values": table.values.tolist()}
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
-
-
-def _column_steps(series: SummatorySeries):
-    """(ns, sums) as Python lists, _ROWS_PER_STEP rows at a time.
-
-    A step at a time keeps no Python object per row of the whole series.
-    """
-    for i in range(0, len(series), _ROWS_PER_STEP):
-        yield series.ns[i : i + _ROWS_PER_STEP].tolist(), series.sums[i : i + _ROWS_PER_STEP].tolist()
 
 
 def cmd_sum(args) -> int:
     cps = resolve_checkpoints(args.limit, args.ladder)
     series = _try_cached_series(args.cache_dir, args.kind, args.limit, cps, args.threads)
-    integer = series.kind.is_integer_valued
+    columns = (series.ns, series.sums)
     if args.format == "csv":
-        rows = "\n".join(
-            "\n".join(map("{},{}".format, ns, sums if integer else map(fmt12, sums)))
-            for ns, sums in _column_steps(series)
-        )
-        _emit(f"n,S\n{rows}\n", args.output)
+        _emit(_csv(("n", "S"), columns), args.output)
     else:
-        doc = {
-            "kind": series.kind.label,
-            "limit": series.limit,
-            "checkpoints": [
-                {"n": n, "S": s} for ns, sums in _column_steps(series) for n, s in zip(ns, sums)
-            ],
-        }
+        doc = {"kind": series.kind.label, "limit": series.limit,
+               "checkpoints": list(_report_rows(("n", "S"), columns, False))}
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 
 
 def cmd_stats(args) -> int:
-    rows = [(r.n, r.sum_S, r.sum_Q, r.grid_ratio, r.covariance_gap, *r.decomposition)
-            for r in moment_scan(args.kind, args.limit, args.ladder)]
+    table = moment_scan(args.kind, args.limit, args.ladder, threads=args.threads)
     adjacent = None
     if args.kind is FunctionKind.PRIME_INDICATOR and args.limit >= 5:
         adjacent = prime_adjacent_joint(args.limit)
     if args.format == "csv":
-        lines = [",".join(_STATS_FIELDS), *(",".join(map(_cell, row)) for row in rows)]
-        if adjacent is not None:
-            lines.append(f"# prime_adjacent joint={fmt12(adjacent.joint)} product={fmt12(adjacent.product)}")
-        _emit("\n".join(lines) + "\n", args.output)
+        footer = [] if adjacent is None else [
+            f"# prime_adjacent joint={fmt12(adjacent.joint)} product={fmt12(adjacent.product)}"]
+        _emit(_csv(_STATS_FIELDS, table[1:], *footer), args.output)
     else:
-        reports = [dict(zip(_STATS_FIELDS, row)) for row in rows]
-        doc = {"kind": args.kind.label, "limit": args.limit, "reports": reports}
+        doc = {"kind": args.kind.label, "limit": args.limit,
+               "reports": list(_report_rows(_STATS_FIELDS, table[1:], False))}
         if adjacent is not None:
             doc["prime_adjacent"] = adjacent._asdict()
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
@@ -298,22 +299,17 @@ def cmd_scaling(args) -> int:
         "coverage_total": coverage.total,
     }
     if args.format == "csv":
-        _emit("key,value\n" + "".join(f"{key},{_cell(v)}\n" for key, v in doc.items()), args.output)
+        cells = (fmt12(v) if isinstance(v, float) else v for v in doc.values())
+        _emit("key,value\n" + "".join(map("{},{}\n".format, doc, cells)), args.output)
     else:
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
-    outcome = verify_mod.run_suite(
-        limit=args.limit,
-        threads=args.threads,
-        err=sys.stderr,
-    )
-    if args.format == "csv":
-        _emit(verify_mod.render_csv(outcome), args.output)
-    else:
-        _emit(verify_mod.render_json(outcome), args.output)
+    outcome = verify_mod.run_suite(limit=args.limit, threads=args.threads, err=sys.stderr)
+    render = verify_mod.render_csv if args.format == "csv" else verify_mod.render_json
+    _emit(render(outcome), args.output)
     return 0 if outcome.all_passed else 1
 
 

@@ -5,7 +5,8 @@ Q(n) = sum of f(k)^2 for k <= n, combined into pair averages over the n x n
 index grid. Both come from the exact segment walk in series.py: exact 64-bit
 integers for the ±1/0-valued kinds, so the algebraic identities hold
 bit-for-bit, and correctly rounded sums for the Chebyshev kinds. moment_scan
-reports them at every checkpoint of a plan in one such walk.
+returns them at every checkpoint of a plan from one such walk, as one
+MomentTable of numpy columns with no Python object per checkpoint.
 
 The pair average over ordered pairs with i != j uses the divisor n(n-1);
 pair_product_counts instead counts over the full grid including i = j.
@@ -29,18 +30,6 @@ from .series import (
     _prefix_sums,
     resolve_checkpoints,
 )
-
-
-class SecondMomentDecomposition(NamedTuple):
-    """S(n)^2 split into its diagonal and off-diagonal parts.
-
-    f_squared = diag_sum + cross_sum holds exactly: the square of the sum
-    equals the sum of squares plus the sum over ordered pairs i != j.
-    """
-
-    f_squared: float
-    diag_sum: float
-    cross_sum: float
 
 
 class PairProducts(NamedTuple):
@@ -88,37 +77,48 @@ class LagCovariance:
             raise DomainError(f"correlation {self.corr} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """All per-n moment quantities for one prefix of one kind.
+class MomentTable(NamedTuple):
+    """All per-n moment quantities of one kind, one read-only column each.
 
-    grid_ratio is S^2/n^2, the pair average of f(i)f(j) over the full grid.
-    covariance_gap is the pair average over i != j minus the squared mean,
-    (S^2 - Q)/(n(n-1)) - (S/n)^2: exactly -1/(n-1) for a ±1-valued kind at
-    a zero of S. It is None at n = 1, where that average is empty. For
-    integer kinds sum_S and sum_Q are exact ints and the decomposition
-    identity holds exactly.
+    Row i is the prefix [1, n[i]]: S and Q are S(n) and Q(n), int64 for the
+    ±1/0 kinds and float64 for the Chebyshev kinds. grid_ratio is S^2/n^2,
+    the pair average of f(i)f(j) over the full grid. cov_gap is the pair
+    average over i != j minus the squared mean, (S^2 - Q)/(n(n-1)) - (S/n)^2:
+    exactly -1/(n-1) for a ±1-valued kind at a zero of S, and NaN at n = 1,
+    where that average is empty. F2 = S^2 splits into the diagonal diag = Q
+    and the off-diagonal cross = F2 - Q. Every float cell is the value
+    Python's float arithmetic gives from the exact S and Q.
     """
 
     kind: FunctionKind
-    n: int
-    sum_S: int | float
-    sum_Q: int | float
-    grid_ratio: float
-    covariance_gap: float | None
-    decomposition: SecondMomentDecomposition
-
-    def __post_init__(self) -> None:
-        f2, diag, cross = self.decomposition
-        if self.kind.is_integer_valued and f2 - diag - cross != 0:
-            raise DomainError("second-moment decomposition identity violated")
+    n: np.ndarray
+    S: np.ndarray
+    Q: np.ndarray
+    grid_ratio: np.ndarray
+    cov_gap: np.ndarray
+    F2: np.ndarray
+    diag: np.ndarray
+    cross: np.ndarray
 
 
-def _report(kind: FunctionKind, n: int, s, q) -> MomentReport:
-    """The MomentReport for prefix aggregates S(n) = s and Q(n) = q."""
-    gap = None if n < 2 else (s * s - q) / (n * (n - 1)) - (s / n) ** 2
-    decomp = SecondMomentDecomposition(s * s, q, s * s - q)
-    return MomentReport(kind, n, s, q, (s * s) / (n * n), gap, decomp)
+def _moment_table(kind: FunctionKind, n: np.ndarray, s: np.ndarray, q: np.ndarray) -> MomentTable:
+    """The MomentTable for prefix aggregates S(n) = s and Q(n) = q."""
+    f2 = s * s
+    nf = n.astype(np.float64)
+    grid = f2 / (nf * nf)
+    pair_mean = np.divide(f2 - q, nf * (nf - 1), out=np.full(len(n), np.nan), where=n > 1)
+    if kind.is_integer_valued:
+        # float64 rounds n^2 and n(n-1) past 2**53; there, divide the exact ints.
+        for i in np.flatnonzero(n > math.isqrt(1 << 53)).tolist():
+            ni, si, qi = int(n[i]), int(s[i]), int(q[i])
+            grid[i], pair_mean[i] = si * si / (ni * ni), (si * si - qi) / (ni * (ni - 1))
+    # float_power is the C pow behind Python's **; x * x and np.power are
+    # off by one ulp on some rows.
+    gap = pair_mean - np.float_power(s / nf, np.full(len(n), 2.0))
+    columns = (n, s, q, grid, gap, f2, q, f2 - q)
+    for col in columns:
+        col.flags.writeable = False
+    return MomentTable(kind, *columns)
 
 
 def parity_counts(table: ValueTable, n: int) -> ParityCounts:
@@ -204,22 +204,28 @@ def prime_adjacent_joint(N: int, *, table: ValueTable | None = None) -> Adjacent
     is identically 0 while the product stays positive; the two disagree,
     which is the dependence being probed.
 
-    A prime-indicator table covering [1, N] may be passed to skip the sieve.
+    A prime-indicator table covering [1, N] may be passed to skip the sieve;
+    without one, [3, N] is sieved a segment of DEFAULT_SEGMENT entries at a time.
     """
     if N < 5:
         raise DomainError(f"need N >= 5 for the k in [3, N-1] window, got {N}")
     if table is None:
-        table = sieve_values(FunctionKind.PRIME_INDICATOR, 1, N)
+        chunks = (sieve_values(FunctionKind.PRIME_INDICATOR, lo, min(lo + DEFAULT_SEGMENT - 1, N)).values
+                  for lo in range(3, N + 1, DEFAULT_SEGMENT))
     elif table.kind is not FunctionKind.PRIME_INDICATOR or table.lo != 1 or table.hi < N:
         raise DomainError("need a prime-indicator table covering [1, N]")
-    v = table.values
-    x = v[2 : N - 1]  # k = 3 .. N-1
-    y = v[3:N]  # k+1 = 4 .. N
+    else:
+        chunks = [table.values[2:N]]  # k = 3 .. N
+    primes = joint = 0
+    last = False  # the indicator just before the current chunk
+    for values in chunks:
+        prime = values == 1
+        primes += int(np.count_nonzero(prime))
+        joint += int(np.count_nonzero(prime[:-1] & prime[1:])) + int(last and prime[0])
+        last = bool(prime[-1])
     count = N - 3
-    joint = int(np.count_nonzero((x == 1) & (y == 1))) / count
-    freq_x = int(np.count_nonzero(x == 1)) / count
-    freq_y = int(np.count_nonzero(y == 1)) / count
-    return AdjacentPrimeStats(joint, freq_x * freq_y)
+    # k = 3 .. N-1 holds every prime counted but N, and k+1 = 4 .. N all but the prime 3.
+    return AdjacentPrimeStats(joint / count, (primes - last) / count * ((primes - 1) / count))
 
 
 def moment_scan(
@@ -228,16 +234,18 @@ def moment_scan(
     checkpoint_plan=None,
     *,
     segment_size: int = DEFAULT_SEGMENT,
-) -> list[MomentReport]:
-    """MomentReports at every planned checkpoint in one pass over [1, limit].
+    threads: int = 1,
+) -> MomentTable:
+    """The MomentTable at every planned checkpoint, from one pass over [1, limit].
 
     One exact reduction yields S and Q together, so a full ladder of
-    reports costs the same as a single accumulation.
+    moments costs the same as a single accumulation. Results depend only
+    on (kind, n), never on the plan, segment_size or threads.
 
     Raises:
         DomainError: limit < 1, segment_size < 1 or a malformed plan.
         ResourceError: limit > DEFAULT_MAX_LIMIT, or a float kind past the exact-summation limit.
     """
     cps = resolve_checkpoints(limit, checkpoint_plan)
-    s_at, q_at = _prefix_sums(kind, cps, segment_size=segment_size, squares=True)
-    return [_report(kind, n, s, q) for n, s, q in zip(cps.tolist(), s_at.tolist(), q_at.tolist())]
+    s, q = _prefix_sums(kind, cps, segment_size=segment_size, threads=threads, squares=True)
+    return _moment_table(kind, cps, s, q)

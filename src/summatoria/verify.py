@@ -7,12 +7,12 @@ contains only deterministic fields, never timings, so two runs of
 `verify --limit 1e6` emit byte-identical reports regardless of threads.
 
 The suite is a client of the package. The second moments that criteria 2
-and 4 check are read from moment_scan, the same reducer the `stats`
-subcommand reports, and criterion 5 is normalized_envelope, the envelope
-the `scaling` subcommand reports. Criterion 1 sieves each kind over
-[1, min(limit, 10**5)] and compares it with trial_division_counts, trial
-division over that whole array at once, mapped to the five kinds by
-values_from_counts.
+and 4 check are the columns of the MomentTable that moment_scan returns,
+the table the `stats` subcommand prints, and criterion 5 is
+normalized_envelope, the envelope the `scaling` subcommand reports.
+Criterion 1 sieves each kind over [1, min(limit, 10**5)] and compares it
+with trial_division_counts, trial division over that whole array at once,
+mapped to the five kinds by values_from_counts.
 
 Criteria whose thresholds were frozen at the default scale (10**6) switch
 to SKIP below that scale: the measured values are still reported, but an
@@ -137,14 +137,13 @@ class _Suite:
         bad = 0
         points = 0
         for kind, series in self.dense.items():
-            for r in self.scans[kind]:
+            columns = (col.tolist() for col in self.scans[kind][1:])
+            for n, s, q, _, _, f2, diag, cross in zip(*columns):
                 points += 1
-                counts = parity_counts(self.tables[kind], r.n)
+                counts = parity_counts(self.tables[kind], n)
                 pairs = pair_product_counts(counts)
-                s, q = r.sum_S, r.sum_Q
-                f2, diag, cross = r.decomposition
                 ok = (
-                    s == int(series.sums[r.n - 1])
+                    s == int(series.sums[n - 1])
                     and s == counts.n_plus - counts.n_minus
                     and q == counts.n_plus + counts.n_minus
                     and f2 == diag + cross
@@ -178,17 +177,17 @@ class _Suite:
         return "PASS" if ok else "FAIL", measured
 
     def pair_average_decay(self):
-        gaps = [r.n * abs(r.covariance_gap)
-                for scan in self.scans.values() for r in scan if r.n >= 100]
-        if not gaps:
+        gaps = np.concatenate([t.n[t.n >= 100] * np.abs(t.cov_gap[t.n >= 100])
+                               for t in self.scans.values()])
+        if not len(gaps):
             return "SKIP", "note=no-ladder-points-above-100"
-        worst = max(gaps)
+        worst = float(gaps.max())
         zeros = np.nonzero(self.dense[FunctionKind.LIOUVILLE].sums == 0)[0]
         anchor_ok = True
         anchor_n = None
         if len(zeros):
             anchor_n = int(zeros[-1]) + 1
-            gap = moment_scan(FunctionKind.LIOUVILLE, anchor_n, [anchor_n])[-1].covariance_gap
+            gap = moment_scan(FunctionKind.LIOUVILLE, anchor_n, [anchor_n]).cov_gap[-1]
             anchor_ok = gap == -1.0 / (anchor_n - 1)
         ok = worst <= 2.0 and anchor_ok
         measured = (f"max_n_times_gap={fmt12(worst)} anchor_n={anchor_n} "
@@ -241,20 +240,16 @@ class _Suite:
         many = max(2, self.threads)
         # Several segments each, so that the pool really runs on `many` threads.
         segment = max(1, self.scale // 7)
-        a = accumulate(FunctionKind.MOBIUS, self.scale, "geometric", threads=1, segment_size=segment)
-        b = accumulate(FunctionKind.MOBIUS, self.scale, "geometric", threads=many,
-                       segment_size=segment)
-        ints_equal = np.array_equal(a.ns, b.ns) and np.array_equal(a.sums, b.sums)
-        c = accumulate(FunctionKind.CHEBYSHEV_PSI_TERM, self.scale, "geometric",
-                       threads=1, segment_size=segment)
-        d = accumulate(FunctionKind.CHEBYSHEV_PSI_TERM, self.scale, "geometric",
-                       threads=many, segment_size=segment)
-        floats_equal = np.array_equal(c.sums, d.sums)
-        ok = ints_equal and floats_equal
-        print(f"info: rebuilt series with 1 and {many} worker threads", file=self.err)
+        equal = []
+        for kind in (FunctionKind.MOBIUS, FunctionKind.CHEBYSHEV_PSI_TERM):
+            serial, pooled = (moment_scan(kind, self.scale, "geometric", threads=k, segment_size=segment)
+                              for k in (1, many))
+            equal.append(all(a.tobytes() == b.tobytes() for a, b in zip(serial[1:], pooled[1:])))
+        ints_equal, floats_equal = equal
+        print(f"info: rebuilt moments with 1 and {many} worker threads", file=self.err)
         measured = (f"integer_series_equal={'yes' if ints_equal else 'no'} "
                     f"float_series_bitwise_equal={'yes' if floats_equal else 'no'}")
-        return "PASS" if ok else "FAIL", measured
+        return "PASS" if all(equal) else "FAIL", measured
 
     def cache_integrity(self):
         rng = random.Random(0x5EED)

@@ -14,7 +14,7 @@ PUBLIC = [
     "FunctionKind",
     "IntegrityError",
     "LagCovariance",
-    "MomentReport",
+    "MomentTable",
     "ParityCounts",
     "ResourceError",
     "SlowGrowthSpec",
@@ -43,12 +43,14 @@ PUBLIC = [
     "values_from_counts",
 ]
 
-#: S(n) is its own deviation and moment_scan reports every per-n moment, so
-#: these wrappers and per-n helpers stay out of their home modules.
+#: S(n) is its own deviation and moment_scan returns every per-n moment as
+#: one table of columns, so these wrappers and per-n helpers and objects stay
+#: out of their home modules.
 REMOVED = {
     series: ("MeanModel", "DeviationSeries", "deviation_series", "value_at"),
     moments: ("sum_of_squares", "covariance_gap", "second_moment_decomposition",
-              "grid_sum_ratio", "_report_at"),
+              "grid_sum_ratio", "_report_at", "MomentReport", "SecondMomentDecomposition",
+              "_report"),
     scaling: ("slow_growth_check",),
 }
 

@@ -325,6 +325,34 @@ class TestStatsCommand:
             assert row["S"] ** 2 == row["F2"]
 
 
+    def test_threads_reach_the_walk_and_never_change_the_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
+        seen = []
+        real = cli_mod.moment_scan
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "moment_scan", recorded)
+        reports = []
+        for threads in (1, 2):  # 5e6 is two segments, so two threads overlap them
+            out = tmp_path / f"t{threads}.csv"
+            assert run_cli("stats", "--kind", "mobius", "--limit", "5e6", "--threads", threads,
+                           output=out)[0] == 0
+            reports.append(out.read_bytes())
+        assert seen == [1, 2]
+        assert reports[0] == reports[1]
+
+    def test_prime_indicator_above_the_sieve_cap(self, tmp_path):
+        out = tmp_path / "pi.csv"
+        assert run_cli("stats", "--kind", "prime-indicator", "--limit", "67108870",
+                       output=out)[0] == 0
+        lines = out.read_text().splitlines()
+        assert lines[-2].startswith("67108870,")
+        assert lines[-1].startswith("# prime_adjacent joint=0 product=0.00")
+
+
 class TestScalingCommand:
     def test_json_matches_schema(self, tmp_path):
         out = tmp_path / "sc.json"
@@ -356,9 +384,16 @@ class TestScalingCommand:
         check("scaling", json.loads(out.read_text()))
 
 
+def cell(v) -> str:
+    """One CSV cell of a JSON value: empty for null, fmt12 for a float, str otherwise."""
+    if v is None:
+        return ""
+    return fmt12(v) if isinstance(v, float) else str(v)
+
+
 @pytest.mark.parametrize("kind", [k.label for k in FunctionKind])
 class TestCsvMatchesJson:
-    """Every CSV cell is _cell of the JSON value of the same field."""
+    """Every CSV cell is cell() of the JSON value of the same field."""
 
     def reports(self, tmp_path, *argv):
         out = {}
@@ -374,19 +409,19 @@ class TestCsvMatchesJson:
                                       "--ladder", ladder)
             rows = doc["reports"]
             if "prime_adjacent" in doc:
-                joint, product = (cli_mod._cell(v) for v in doc["prime_adjacent"].values())
+                joint, product = (cell(v) for v in doc["prime_adjacent"].values())
                 assert lines.pop() == f"# prime_adjacent joint={joint} product={product}"
             assert lines[0].split(",") == list(rows[0])
             assert len(lines) == len(rows) + 1
             for line, row in zip(lines[1:], rows):
-                assert line.split(",") == [cli_mod._cell(v) for v in row.values()]
+                assert line.split(",") == [cell(v) for v in row.values()]
 
     def test_scaling(self, kind, tmp_path):
         lines, doc = self.reports(tmp_path, "scaling", "--kind", kind, "--limit", "10000",
                                   "--phi", "pow:0.3")
         assert lines[0] == "key,value"
         assert [line.split(",") for line in lines[1:]] == [
-            [key, cli_mod._cell(v)] for key, v in doc.items()
+            [key, cell(v)] for key, v in doc.items()
         ]
 
 

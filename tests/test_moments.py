@@ -6,45 +6,74 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from summatoria import moments as moments_mod
 from summatoria.errors import DomainError, ResourceError
 from summatoria.kernels import FunctionKind, ValueTable, sieve_values
 from summatoria.moments import (
-    _report,
+    _moment_table,
     lag_covariance,
     moment_scan,
     pair_product_counts,
     parity_counts,
     prime_adjacent_joint,
 )
-from summatoria.series import _FLOAT_EXACT_LIMIT, accumulate
+from summatoria.series import (
+    _FLOAT_EXACT_LIMIT,
+    DEFAULT_SEGMENT,
+    accumulate,
+    resolve_checkpoints,
+)
 
 
 @pytest.fixture(scope="module")
-def lam_reports():
-    """The Liouville reports at every n <= 2000; entry n - 1 is the one at n."""
+def lam():
+    """The Liouville moments at every n <= 2000; row n - 1 is the one at n."""
     return moment_scan(FunctionKind.LIOUVILLE, 2000, "all")
 
 
 @pytest.fixture(scope="module")
-def mob_reports():
+def mob():
     return moment_scan(FunctionKind.MOBIUS, 2000, "all")
 
 
-def constant_one_report(n):
-    """The report for f identically 1: S(n) = Q(n) = n."""
-    return _report(FunctionKind.PRIME_INDICATOR, n, n, n)
+def constant_one(*ns):
+    """The moments of f identically 1 at ns: S(n) = Q(n) = n."""
+    n = np.array(ns, dtype=np.int64)
+    return _moment_table(FunctionKind.PRIME_INDICATOR, n, n, n)
+
+
+def reference_row(n, s, q):
+    """(grid_ratio, cov_gap, F2, diag, cross) at one n, in Python scalars.
+
+    The per-row formula the columns must reproduce bit for bit: exact int
+    arithmetic for the integer kinds, float arithmetic for the others.
+    """
+    gap = None if n < 2 else (s * s - q) / (n * (n - 1)) - (s / n) ** 2
+    return (s * s) / (n * n), gap, s * s, q, s * s - q
+
+
+def bits(values):
+    """Python scalars as exactly comparable keys: floats by their bits, NaN as None."""
+    return [None if v is None or v != v else v.hex() if isinstance(v, float) else v
+            for v in values]
+
+
+def assert_matches_reference(table):
+    rows = [reference_row(n, s, q)
+            for n, s, q in zip(table.n.tolist(), table.S.tolist(), table.Q.tolist())]
+    for name, want in zip(("grid_ratio", "cov_gap", "F2", "diag", "cross"), zip(*rows)):
+        assert bits(getattr(table, name).tolist()) == bits(want), name
 
 
 class TestGridSumRatio:
-    def test_liouville_10(self, lam_reports):
-        assert lam_reports[9].grid_ratio == 0.0
+    def test_liouville_10(self, lam):
+        assert lam.grid_ratio[9] == 0.0
 
-    def test_mobius_10(self, mob_reports):
-        assert mob_reports[9].grid_ratio == 0.01
+    def test_mobius_10(self, mob):
+        assert mob.grid_ratio[9] == 0.01
 
     def test_constant_series_is_one(self):
-        for n in (1, 7, 50):
-            assert constant_one_report(n).grid_ratio == 1.0
+        assert constant_one(1, 7, 50).grid_ratio.tolist() == [1.0, 1.0, 1.0]
 
     def test_rejects_n_zero(self):
         with pytest.raises(DomainError):
@@ -103,24 +132,24 @@ class TestPairProducts:
 
 
 class TestCovarianceGap:
-    def test_liouville_2(self, lam_reports):
-        assert lam_reports[1].covariance_gap == -1.0
+    def test_liouville_2(self, lam):
+        assert lam.cov_gap[1] == -1.0
 
-    def test_liouville_10_exact_fraction(self, lam_reports):
-        assert lam_reports[9].covariance_gap == -1.0 / 9.0
+    def test_liouville_10_exact_fraction(self, lam):
+        assert lam.cov_gap[9] == -1.0 / 9.0
 
     def test_constant_series_gap_zero(self):
-        for n in (2, 11, 40):
-            assert constant_one_report(n).covariance_gap == 0.0
+        assert constant_one(2, 11, 40).cov_gap.tolist() == [0.0, 0.0, 0.0]
 
-    def test_needs_two_terms(self, lam_reports):
-        assert lam_reports[0].covariance_gap is None
+    def test_needs_two_terms(self, lam):
+        assert np.isnan(lam.cov_gap[0])
+        assert not np.isnan(lam.cov_gap[1:]).any()
 
-    def test_zero_sum_anchor_is_closed_form(self, lam_reports):
-        zeros = [r for r in lam_reports[1:] if r.sum_S == 0]
-        assert zeros, "Liouville summatory has zeros in range"
-        for r in zeros:
-            assert r.covariance_gap == -1.0 / (r.n - 1)
+    def test_zero_sum_anchor_is_closed_form(self, lam):
+        zeros = np.flatnonzero(lam.S[1:] == 0) + 1
+        assert len(zeros), "Liouville summatory has zeros in range"
+        for i in zeros.tolist():
+            assert lam.cov_gap[i] == -1.0 / (lam.n[i] - 1)
 
     @given(st.integers(min_value=2, max_value=300))
     @settings(max_examples=25, deadline=None)
@@ -132,24 +161,24 @@ class TestCovarianceGap:
             if i != j:
                 pair_sum += int(values[i]) * int(values[j])
         brute = pair_sum / (n * (n - 1)) - (s / n) ** 2
-        gap = moment_scan(FunctionKind.MOBIUS, n, [n])[-1].covariance_gap
+        gap = moment_scan(FunctionKind.MOBIUS, n, [n]).cov_gap[-1]
         assert gap == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
 class TestSumOfSquares:
     def test_liouville_shortcut(self):
-        assert moment_scan(FunctionKind.LIOUVILLE, 12345, [12345])[-1].sum_Q == 12345
+        assert moment_scan(FunctionKind.LIOUVILLE, 12345, [12345]).Q[-1] == 12345
 
     def test_mobius_counts_squarefree(self):
         t = sieve_values(FunctionKind.MOBIUS, 1, 1000)
-        q = moment_scan(FunctionKind.MOBIUS, 1000, [1000], segment_size=130)[-1].sum_Q
+        q = moment_scan(FunctionKind.MOBIUS, 1000, [1000], segment_size=130).Q[-1]
         assert q == int(np.count_nonzero(t.values))
 
     def test_float_kind(self):
         t = sieve_values(FunctionKind.CHEBYSHEV_THETA_TERM, 1, 500)
         want = math.fsum(t.values * t.values)
-        r = moment_scan(FunctionKind.CHEBYSHEV_THETA_TERM, 500, [500], segment_size=77)[-1]
-        assert r.sum_Q == want
+        t = moment_scan(FunctionKind.CHEBYSHEV_THETA_TERM, 500, [500], segment_size=77)
+        assert t.Q[-1] == want
 
 
 class TestLagCovariance:
@@ -222,6 +251,30 @@ class TestAdjacentPrimes:
         with pytest.raises(DomainError):
             prime_adjacent_joint(4)
 
+    def test_segmented_sieve_matches_one_table(self):
+        n = DEFAULT_SEGMENT + 5
+        table = sieve_values(FunctionKind.PRIME_INDICATOR, 1, n)
+        assert prime_adjacent_joint(n) == prime_adjacent_joint(n, table=table)
+
+    @pytest.mark.parametrize("segment", [1, 2, 3, 7, 64])
+    def test_counts_carry_across_segment_boundaries(self, monkeypatch, segment):
+        # A made-up indicator with adjacent ones, so that the pairs that
+        # straddle a boundary count; real primes above 2 have none.
+        n = 60
+        values = np.random.default_rng(segment).integers(0, 2, n).astype(np.int8)
+        values[[2, 3, 4, 30, 31, n - 2, n - 1]] = 1
+        table = ValueTable(FunctionKind.PRIME_INDICATOR, 1, n, values)
+
+        def fake(kind, lo, hi):
+            assert hi - lo + 1 <= segment
+            return ValueTable(kind, lo, hi, values[lo - 1 : hi])
+
+        want = prime_adjacent_joint(n, table=table)
+        monkeypatch.setattr(moments_mod, "DEFAULT_SEGMENT", segment)
+        monkeypatch.setattr(moments_mod, "sieve_values", fake)
+        assert want.joint > 0
+        assert prime_adjacent_joint(n) == want
+
     def test_table_reuse_must_match(self):
         t = sieve_values(FunctionKind.LIOUVILLE, 1, 100)
         with pytest.raises(DomainError):
@@ -229,23 +282,21 @@ class TestAdjacentPrimes:
 
 
 class TestDecomposition:
-    def test_liouville_10(self, lam_reports):
-        assert lam_reports[9].decomposition == (0, 10, -10)
+    def test_liouville_10(self, lam):
+        assert (lam.F2[9], lam.diag[9], lam.cross[9]) == (0, 10, -10)
 
-    def test_mobius_8(self, mob_reports):
-        assert mob_reports[7].decomposition == (4, 6, -2)
+    def test_mobius_8(self, mob):
+        assert (mob.F2[7], mob.diag[7], mob.cross[7]) == (4, 6, -2)
 
-    def test_single_term(self, mob_reports):
-        f2, diag, cross = mob_reports[0].decomposition
-        assert (f2, diag, cross) == (1, 1, 0)
+    def test_single_term(self, mob):
+        assert (mob.F2[0], mob.diag[0], mob.cross[0]) == (1, 1, 0)
 
     @pytest.mark.parametrize("kind", list(FunctionKind), ids=lambda k: k.label)
     def test_identity_exact_across_kinds(self, kind):
-        for r in moment_scan(kind, 800, [1, 2, 17, 256, 800]):
-            f2, diag, cross = r.decomposition
-            assert f2 == diag + cross
-            if kind.is_integer_valued:
-                assert diag <= r.n  # diagonal bounded by the term count
+        t = moment_scan(kind, 800, [1, 2, 17, 256, 800])
+        assert np.array_equal(t.F2, t.diag + t.cross)
+        if kind.is_integer_valued:
+            assert (t.diag <= t.n).all()  # diagonal bounded by the term count
 
     def test_brute_force_cross_sum(self):
         n = 60
@@ -255,23 +306,22 @@ class TestDecomposition:
             for i, j in itertools.product(range(n), repeat=2)
             if i != j
         )
-        assert moment_scan(FunctionKind.LIOUVILLE, n, [n])[-1].decomposition.cross_sum == cross
+        assert moment_scan(FunctionKind.LIOUVILLE, n, [n]).cross[-1] == cross
 
 
 class TestMomentScan:
     def test_matches_standalone_ops(self):
-        reports = moment_scan(FunctionKind.MOBIUS, 2000, "geometric", segment_size=333)
+        t = moment_scan(FunctionKind.MOBIUS, 2000, "geometric", segment_size=333)
         series = accumulate(FunctionKind.MOBIUS, 2000, "all")
-        for r in reports:
-            assert r.sum_S == int(series.sums[r.n - 1])
+        assert np.array_equal(t.S, series.sums[t.n - 1])
 
     def test_float_kind_scan(self):
-        reports = moment_scan(FunctionKind.CHEBYSHEV_PSI_TERM, 3000, segment_size=450)
+        t = moment_scan(FunctionKind.CHEBYSHEV_PSI_TERM, 3000, segment_size=450)
         values = sieve_values(FunctionKind.CHEBYSHEV_PSI_TERM, 1, 3000).values
-        for r in reports[-4:]:
-            assert r.sum_S == math.fsum(values[: r.n])
-            assert r.sum_Q == math.fsum((values * values)[: r.n])
-            f2, diag, cross = r.decomposition
+        for n, s, q, f2, diag, cross in zip(*(getattr(t, c)[-4:].tolist()
+                                               for c in ("n", "S", "Q", "F2", "diag", "cross"))):
+            assert s == math.fsum(values[:n])
+            assert q == math.fsum((values * values)[:n])
             assert f2 == pytest.approx(diag + cross, rel=1e-12)
 
     @pytest.mark.parametrize("kind", [FunctionKind.CHEBYSHEV_PSI_TERM,
@@ -279,11 +329,53 @@ class TestMomentScan:
     def test_dense_float_scan_matches_fsum_prefixes(self, kind):
         n = 3000
         values = sieve_values(kind, 1, n).values
-        reports = moment_scan(kind, n, "all", segment_size=701)
-        assert [r.sum_S for r in reports] == [math.fsum(values[:k]) for k in range(1, n + 1)]
+        t = moment_scan(kind, n, "all", segment_size=701)
+        assert t.S.tolist() == [math.fsum(values[:k]) for k in range(1, n + 1)]
         squares = values * values
-        assert [r.sum_Q for r in reports] == [math.fsum(squares[:k]) for k in range(1, n + 1)]
+        assert t.Q.tolist() == [math.fsum(squares[:k]) for k in range(1, n + 1)]
 
     def test_float_scan_beyond_exact_limit_refused(self):
         with pytest.raises(ResourceError):
             moment_scan(FunctionKind.CHEBYSHEV_PSI_TERM, _FLOAT_EXACT_LIMIT + 1)
+
+
+class TestMomentTable:
+    """The columns against the per-row formula, bit for bit."""
+
+    @pytest.mark.parametrize("kind", list(FunctionKind), ids=lambda k: k.label)
+    @pytest.mark.parametrize("limit, plan", [(3000, "all"), (10**6, 1.01)], ids=["all", "ladder"])
+    def test_columns_match_reference_rows(self, kind, limit, plan):
+        t = moment_scan(kind, limit, plan)
+        assert np.array_equal(t.n, resolve_checkpoints(limit, plan))
+        assert_matches_reference(t)
+
+    def test_exact_division_above_two_to_the_53(self):
+        rng = np.random.default_rng(53)
+        bound = math.isqrt(1 << 53)  # the largest n with n^2 < 2**53
+        n = np.concatenate([[bound, bound + 1], rng.integers(bound - 10**4, 10**9, 5000)])
+        s = rng.integers(-n, n + 1)
+        q = rng.integers(np.abs(s), n + 1)
+        t = _moment_table(FunctionKind.MOBIUS, n, s, q)
+        assert_matches_reference(t)
+        # The rows reach where float64 denominators would round.
+        nf = n.astype(np.float64)
+        assert not np.array_equal(t.grid_ratio, (s * s) / (nf * nf))
+
+    @pytest.mark.parametrize("kind", list(FunctionKind), ids=lambda k: k.label)
+    def test_column_dtypes_and_read_only(self, kind):
+        t = moment_scan(kind, 100)
+        exact = np.int64 if kind.is_integer_valued else np.float64
+        for name in ("S", "Q", "F2", "diag", "cross"):
+            assert getattr(t, name).dtype == exact, name
+        assert t.n.dtype == np.int64
+        assert t.grid_ratio.dtype == t.cov_gap.dtype == np.float64
+        with pytest.raises(ValueError):
+            t.cov_gap[1] = 0.0
+
+    @pytest.mark.parametrize("kind", [FunctionKind.MOBIUS, FunctionKind.CHEBYSHEV_PSI_TERM],
+                             ids=lambda k: k.label)
+    def test_threads_never_change_the_table(self, kind):
+        one, two = (moment_scan(kind, 10**5, "geometric", segment_size=9999, threads=k)
+                    for k in (1, 2))
+        for name in ("n", "S", "Q", "grid_ratio", "cov_gap", "F2", "diag", "cross"):
+            assert getattr(one, name).tobytes() == getattr(two, name).tobytes(), name

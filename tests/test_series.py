@@ -216,8 +216,8 @@ class TestIntegerReadout:
         sizes = (B - 1, B, B + 1, DEFAULT_SEGMENT)
         for plan in ("geometric", "all"):
             sums = {accumulate(kind, limit, plan, segment_size=z).sums.tobytes() for z in sizes}
-            scans = {tuple((r.sum_S, r.sum_Q) for r in moment_scan(kind, limit, plan, segment_size=z))
-                     for z in sizes}
+            scans = {tuple(zip(t.S.tolist(), t.Q.tolist()))
+                     for t in (moment_scan(kind, limit, plan, segment_size=z) for z in sizes)}
             assert len(sums) == 1 and len(scans) == 1
             full = sieve_values(kind, 1, limit).values
             cps = resolve_checkpoints(limit, plan)
