@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 configuration or I/O
 error, 3 resource limit exceeded.
 
-All CSV output is deterministic byte-for-byte for a fixed command line and
-package version: rows end with a single newline, real numbers are printed
-with 12 significant digits, and nothing machine- or time-dependent is ever
-written to the report stream (timings go to stderr).
+CSV and JSON reports are deterministic byte-for-byte for a fixed command
+line and package version: one final newline, reals with 12 significant
+digits in CSV and as their repr in JSON, and nothing machine- or
+time-dependent in the report stream (timings go to stderr).
 """
 
 from __future__ import annotations
@@ -150,35 +150,49 @@ def _emit(text: str, output) -> None:
         Path(output).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _report_rows(fields, columns, csv: bool):
-    """Rows of equal-length columns: CSV text _ROWS_PER_STEP rows at a time, or one dict per row.
+def _report_rows(columns, csv: bool, prefixes, sep: str):
+    """Text of the rows of equal-length columns, _ROWS_PER_STEP rows per step; concatenate them.
 
-    An int column prints with str and a float column with 12 significant
-    digits, as fmt12; a NaN is an empty CSV cell or a JSON null. A step at
-    a time keeps no Python object per row of the whole report.
+    A row joins its cells, each after its column's prefix, with ","; rows
+    are joined by sep. Ints print with str, floats as fmt12 in CSV and as
+    repr in JSON (as json.dumps), a NaN as "" or null. A step at a time
+    keeps no Python object per row of the whole report.
     """
     for i in range(0, len(columns[0]), _ROWS_PER_STEP):
         cells = []
-        for col in columns:
+        for prefix, col in zip(prefixes, columns):
             col = col[i : i + _ROWS_PER_STEP]
-            if not csv:
-                step = col.tolist()
-            elif col.dtype.kind == "f":  # + 0.0 turns -0.0 into 0.0, as fmt12 does
+            if col.dtype.kind != "f":
+                step = list(map(str, col.tolist()))
+            elif csv:  # + 0.0 turns -0.0 into 0.0, as fmt12 does
                 step = list(map("{:.12g}".format, (col + 0.0).tolist()))
             else:
-                step = list(map(str, col.tolist()))
+                step = list(map(float.__repr__, col.tolist()))
             for j in np.flatnonzero(np.isnan(col)).tolist():
-                step[j] = "" if csv else None
-            cells.append(step)
-        if csv:
-            yield "\n".join(map(",".join, zip(*cells)))
-        else:
-            yield from (dict(zip(fields, row)) for row in zip(*cells))
+                step[j] = "" if csv else "null"
+            cells.append(list(map(prefix.__add__, step)) if prefix else step)
+        if i:
+            yield sep
+        yield sep.join(map(",".join, zip(*cells)))
 
 
 def _csv(fields, columns, *footer: str) -> str:
     """A CSV report: the header, one line per row of the columns, then the footer lines."""
-    return "\n".join([",".join(fields), *_report_rows(fields, columns, True), *footer]) + "\n"
+    rows = _report_rows(columns, True, [""] * len(columns), "\n")
+    return "".join([",".join(fields), "\n", *rows, *(f"\n{line}" for line in footer), "\n"])
+
+
+def _json(doc: dict, key: str, fields, columns) -> str:
+    """json.dumps(doc, indent=2), its placeholder doc[key] = None replaced by the rows.
+
+    A row is an object of the fields, or a bare value when fields is None;
+    the braces of one object and the next separate the rows.
+    """
+    head, tail = json.dumps(doc, indent=2).split(f'"{key}": null')
+    prefixes = [f'\n      "{f}": ' for f in fields] if fields else ["\n    "]
+    open_, close = ("\n    {", "\n    }") if fields else ("", "")
+    rows = _report_rows(columns, False, prefixes, f"{close},{open_}")
+    return "".join([head, f'"{key}": [', open_, *rows, close, "\n  ]", tail, "\n"])
 
 
 def _try_cached_series(cache_dir, kind, limit, cps, threads):
@@ -231,8 +245,8 @@ def cmd_sieve(args) -> int:
     if args.format == "csv":
         _emit(_csv(("k", "f"), (np.arange(table.lo, table.hi + 1), table.values)), args.output)
     else:
-        doc = {"kind": table.kind.label, "lo": table.lo, "hi": table.hi, "values": table.values.tolist()}
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        doc = {"kind": table.kind.label, "lo": table.lo, "hi": table.hi, "values": None}
+        _emit(_json(doc, "values", None, (table.values,)), args.output)
     return 0
 
 
@@ -243,27 +257,22 @@ def cmd_sum(args) -> int:
     if args.format == "csv":
         _emit(_csv(("n", "S"), columns), args.output)
     else:
-        doc = {"kind": series.kind.label, "limit": series.limit,
-               "checkpoints": list(_report_rows(("n", "S"), columns, False))}
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        doc = {"kind": series.kind.label, "limit": series.limit, "checkpoints": None}
+        _emit(_json(doc, "checkpoints", ("n", "S"), columns), args.output)
     return 0
 
 
 def cmd_stats(args) -> int:
     table = moment_scan(args.kind, args.limit, args.ladder, threads=args.threads)
-    adjacent = None
+    doc, footer = {"kind": args.kind.label, "limit": args.limit, "reports": None}, []
     if args.kind is FunctionKind.PRIME_INDICATOR and args.limit >= 5:
         adjacent = prime_adjacent_joint(args.limit)
+        doc["prime_adjacent"] = adjacent._asdict()
+        footer.append(f"# prime_adjacent joint={fmt12(adjacent.joint)} product={fmt12(adjacent.product)}")
     if args.format == "csv":
-        footer = [] if adjacent is None else [
-            f"# prime_adjacent joint={fmt12(adjacent.joint)} product={fmt12(adjacent.product)}"]
         _emit(_csv(_STATS_FIELDS, table[1:], *footer), args.output)
     else:
-        doc = {"kind": args.kind.label, "limit": args.limit,
-               "reports": list(_report_rows(_STATS_FIELDS, table[1:], False))}
-        if adjacent is not None:
-            doc["prime_adjacent"] = adjacent._asdict()
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit(_json(doc, "reports", _STATS_FIELDS, table[1:]), args.output)
     return 0
 
 

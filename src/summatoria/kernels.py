@@ -272,12 +272,12 @@ def values_from_profile(kind: FunctionKind, lo: int, hi: int, profile: tuple) ->
     return out
 
 
-def base_primes(hi: int, *, max_segment: int = DEFAULT_MAX_SEGMENT) -> np.ndarray:
-    """The primes <= sqrt(hi); ResourceError if sqrt(hi) is above max_segment."""
+def base_primes(hi: int) -> np.ndarray:
+    """The primes <= sqrt(hi); ResourceError if sqrt(hi) is above DEFAULT_MAX_SEGMENT."""
     root = math.isqrt(hi)
-    if root > max_segment:
+    if root > DEFAULT_MAX_SEGMENT:
         raise ResourceError(f"sieving up to {hi} needs the primes up to {root}, "
-                            f"above the cap of {max_segment}")
+                            f"above the cap of {DEFAULT_MAX_SEGMENT}")
     return primes_upto(root)
 
 
@@ -286,7 +286,6 @@ def sieve_values(
     lo: int,
     hi: int,
     *,
-    max_segment: int = DEFAULT_MAX_SEGMENT,
     primes: np.ndarray | None = None,
 ) -> ValueTable:
     """Sieve f(k) for every k in the inclusive interval [lo, hi].
@@ -294,25 +293,23 @@ def sieve_values(
     Args:
         kind: which arithmetic function to evaluate.
         lo, hi: interval bounds, 1 <= lo <= hi.
-        max_segment: refuse intervals longer than this many entries, and
-            hi past max_segment**2 when the primes are sieved here.
         primes: the primes <= sqrt(hi), if shared; by default base_primes(hi).
 
     Raises:
         DomainError: lo < 1 or hi < lo.
-        ResourceError: interval longer than max_segment, or sqrt(hi) above it
-            (the base-prime sieve would need that many entries).
+        ResourceError: interval longer than DEFAULT_MAX_SEGMENT, or sqrt(hi)
+            above it (the base-prime sieve would need that many entries).
     """
     if lo < 1:
         raise DomainError(f"sieve lower bound must be >= 1, got {lo}")
     if hi < lo:
         raise DomainError(f"sieve interval is empty: [{lo}, {hi}]")
-    if hi - lo + 1 > max_segment:
+    if hi - lo + 1 > DEFAULT_MAX_SEGMENT:
         raise ResourceError(
-            f"interval [{lo}, {hi}] has {hi - lo + 1} entries, above the cap of {max_segment}"
+            f"interval [{lo}, {hi}] has {hi - lo + 1} entries, above the cap of {DEFAULT_MAX_SEGMENT}"
         )
     if primes is None:
-        primes = base_primes(hi, max_segment=max_segment)
+        primes = base_primes(hi)
     profile = factor_profile(lo, hi, kind, primes=primes)
     return ValueTable(kind, lo, hi, values_from_profile(kind, lo, hi, profile))
 

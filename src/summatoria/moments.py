@@ -178,7 +178,7 @@ def lag_covariance(table: ValueTable, lag: int, window: tuple[int, int]) -> LagC
 
     def total(terms, scale):
         run = _ExactRun(None if integer else scale)
-        run.add(terms, [])
+        run.add(terms, np.array([len(terms)]))
         return run.total
 
     # Sums of log-terms carry 2**53 and of their products 2**54; the weight

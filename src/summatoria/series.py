@@ -100,10 +100,18 @@ def geometric_ladder(limit: int, ratio: float | None = None) -> np.ndarray:
     """
     if limit < 1:
         raise DomainError(f"ladder limit must be >= 1, got {limit}")
-    if ratio is not None and not ratio > 1.0:
-        raise DomainError(f"ladder ratio must exceed 1, got {ratio}")
+    if ratio is not None and not 1.0 < ratio < math.inf:
+        raise DomainError(f"ladder ratio must be finite and exceed 1, got {ratio}")
     points = {limit}
-    j = 0
+    j, first = 0, 1
+    if ratio is not None:
+        # While ratio**j <= 0.5 / (ratio - 1), consecutive powers differ by at
+        # most 1/2, so their ceilings take every integer up to ceil(ratio**j).
+        top = 0.5 / (ratio - 1.0)
+        j = max(0, int(math.log(top) / math.log(ratio)))
+        while j > 0 and ratio**j > top:
+            j -= 1
+        first = min(math.ceil(ratio**j), limit)
     while True:
         if ratio is None:
             root = math.isqrt(1 << j)
@@ -114,7 +122,7 @@ def geometric_ladder(limit: int, ratio: float | None = None) -> np.ndarray:
             break
         points.add(n)
         j += 1
-    return np.array(sorted(points), dtype=np.int64)
+    return np.concatenate((np.arange(1, first), np.array(sorted(points), dtype=np.int64)))
 
 
 def resolve_checkpoints(limit: int, plan=None, *, max_limit: int = DEFAULT_MAX_LIMIT) -> np.ndarray:
@@ -179,7 +187,7 @@ def _cumsum0(terms: np.ndarray) -> np.ndarray:
 
 
 def _block_prefix(terms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, int]:
-    """int64 sums of terms[:c] for each c in counts, and the sum of all terms.
+    """int64 sums of terms[:c] for each c in counts (maybe none), and the sum of all terms.
 
     counts must be nondecreasing and at most len(terms), and |terms| <= 7,
     so that a prefix within one block of _BLOCK terms is exact in int16.
@@ -200,7 +208,7 @@ def _block_prefix(terms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, in
     # Row i of inner is the exclusive prefix of block held[i]. Block nb is
     # the partial (maybe empty) tail; if it holds a count, it is held[-1].
     inner = np.zeros((len(held), _BLOCK), dtype=np.int16)
-    k = len(held) - int(held[-1] == nb)
+    k = int(np.searchsorted(held, nb))
     np.cumsum(full[held[:k], :-1], axis=1, dtype=np.int16, out=inner[:k, 1:])
     if k < len(held):
         np.cumsum(tail, dtype=np.int16, out=inner[k, 1 : len(tail) + 1])
@@ -231,9 +239,6 @@ class _ExactRun:
     def add(self, terms: np.ndarray, counts) -> np.ndarray:
         """Append terms; return the running sum after counts[i] of them."""
         if self.scale is None:
-            if len(counts) == 0:
-                self.total += int(terms.sum(dtype=np.int64))
-                return np.zeros(0, dtype=np.int64)
             out, total = _block_prefix(terms, counts)
             out += self.total
             self.total += total

@@ -49,7 +49,7 @@ from .moments import (
     parity_counts,
     prime_adjacent_joint,
 )
-from .scaling import normalized_envelope
+from .scaling import SlowGrowthSpec, chebyshev_bound_coverage, normalized_envelope
 from .series import SummatorySeries, accumulate
 
 FULL_SCALE = 10**6
@@ -204,16 +204,13 @@ class _Suite:
     def growth_bound_coverage(self):
         if self.scale < 10:
             return "SKIP", "note=needs-limit>=10"
-        ns = np.arange(2, self.scale + 1, dtype=np.float64)
-        bound_log = np.sqrt(ns) * np.log(ns)
-        bound_small = np.sqrt(ns) * 0.01
+        phi_log, phi_small = SlowGrowthSpec.from_name("log"), SlowGrowthSpec.from_name("const:0.01")
         parts = []
         ok = True
         for kind, series in self.dense.items():
             label = kind.label
-            devs = np.abs(series.sums[1:])
-            frac_log = np.count_nonzero(devs <= bound_log) / len(ns)
-            frac_small = np.count_nonzero(devs <= bound_small) / len(ns)
+            frac_log = chebyshev_bound_coverage(series, phi_log).fraction
+            frac_small = chebyshev_bound_coverage(series, phi_small).fraction
             parts.append(f"{label}_log={fmt12(frac_log)} {label}_const0.01={fmt12(frac_small)}")
             if frac_log != 1.0 or not frac_small < 1.0:
                 ok = False

@@ -15,6 +15,7 @@ from summatoria import verify as verify_mod
 from summatoria.cache import load
 from summatoria.cli import fmt12, main, parse_kind, parse_ladder, parse_limit
 from summatoria.kernels import FunctionKind, ValueTable, sieve_values
+from summatoria.moments import moment_scan, prime_adjacent_joint
 from summatoria.series import accumulate, resolve_checkpoints
 
 
@@ -182,6 +183,15 @@ class TestSumCommand:
             else:
                 doc = json.loads(out.read_text())
                 assert doc["checkpoints"] == [{"n": n, "S": s} for n, s in series.checkpoints]
+
+    def test_ratio_ladder_next_to_one_is_quick(self, tmp_path):
+        out = tmp_path / "m.csv"
+        t0 = time.monotonic()
+        assert run_cli("sum", "--kind", "mobius", "--limit", "1e6", "--ladder", "1.0000001",
+                       output=out)[0] == 0
+        assert time.monotonic() - t0 < 20.0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 10**6 + 1 and lines[-1] == "1000000,212"
 
     def test_byte_identity_across_threads(self, tmp_path):
         outputs = []
@@ -425,6 +435,65 @@ class TestCsvMatchesJson:
         ]
 
 
+def reference_json(doc: dict, key: str, fields, columns) -> str:
+    """json.dumps(indent=2) of doc with doc[key] one dict per row of the columns, NaN as None.
+
+    With fields None, doc[key] is the bare values of the one column.
+    """
+    if fields is None:
+        rows = columns[0].tolist()
+    else:
+        cells = []
+        for col in columns:
+            step = col.tolist()
+            for j in np.flatnonzero(np.isnan(col)).tolist():
+                step[j] = None
+            cells.append(step)
+        rows = [dict(zip(fields, row)) for row in zip(*cells)]
+    return json.dumps({**doc, key: rows}, indent=2) + "\n"
+
+
+class TestJsonMatchesReference:
+    """sieve, sum and stats JSON are byte for byte the dict-per-row json.dumps report."""
+
+    @pytest.mark.parametrize("kind", list(FunctionKind), ids=lambda k: k.label)
+    def test_reports(self, kind, tmp_path):
+        out = tmp_path / "report.json"
+        for limit in (1, 2, 4, 300):
+            assert run_cli("sieve", "--kind", kind.label, "--hi", limit, "--format", "json",
+                           output=out)[0] == 0
+            table = sieve_values(kind, 1, limit)
+            doc = {"kind": kind.label, "lo": 1, "hi": limit}
+            assert out.read_text() == reference_json(doc, "values", None, (table.values,))
+            for ladder in ("geometric", "all"):
+                argv = ("--kind", kind.label, "--limit", limit, "--ladder", ladder, "--format", "json")
+                assert run_cli("sum", *argv, output=out)[0] == 0
+                series = accumulate(kind, limit, ladder)
+                doc = {"kind": kind.label, "limit": limit}
+                assert out.read_text() == reference_json(
+                    doc, "checkpoints", ("n", "S"), (series.ns, series.sums))
+                assert run_cli("stats", *argv, output=out)[0] == 0
+                doc["reports"] = None
+                if kind is FunctionKind.PRIME_INDICATOR and limit >= 5:
+                    doc["prime_adjacent"] = prime_adjacent_joint(limit)._asdict()
+                assert out.read_text() == reference_json(
+                    doc, "reports", cli_mod._STATS_FIELDS, moment_scan(kind, limit, ladder)[1:])
+
+    def test_synthetic_columns(self):
+        rng = np.random.default_rng(7)
+        n = 2 * cli_mod._ROWS_PER_STEP + 3
+        ints = rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64)
+        ints[:4] = (2**53 + 1, -(2**63), 2**63 - 1, 0)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[:8] = (np.nan, -0.0, 0.1 + 0.2, 1 / 3, 5e-324, 1.7976931348623157e308, 1e16, np.nan)
+        floats[-1] = np.nan
+        doc = {"kind": "x", "rows": None, "after": {"a": 1.5, "b": None}}
+        for fields, columns in ((("i", "f"), (ints, floats)), (("f",), (floats,)),
+                                (("i",), (ints[:1],)), (None, (ints,)), (None, (floats[~np.isnan(floats)],))):
+            want = reference_json(doc, "rows", fields, columns)
+            assert cli_mod._json(doc, "rows", fields, columns) == want
+
+
 class TestVerifyCommand:
     def test_small_scale_run_matches_schema(self, tmp_path):
         for limit in ("1", "2", "5", "1000"):
@@ -506,6 +575,8 @@ class TestExitCodes:
     def test_domain_error_exits_two(self, capsys):
         assert main(["sieve", "--kind", "mobius", "--lo", "10", "--hi", "5"]) == 2
         assert "error:" in capsys.readouterr().err
+        assert main(["sum", "--kind", "mobius", "--limit", "100", "--ladder", "inf"]) == 2
+        assert "error: ladder ratio" in capsys.readouterr().err
 
     def test_resource_error_exits_three(self, capsys):
         assert main(["sum", "--kind", "mobius", "--limit", "2e9"]) == 3

@@ -355,16 +355,18 @@ class TestErrorsAndEdges:
         with pytest.raises(DomainError):
             sieve_values(FunctionKind.MOBIUS, 5, 4)
 
-    def test_oversized_interval_rejected(self):
+    def test_oversized_interval_rejected(self, monkeypatch):
+        monkeypatch.setattr(kernels, "DEFAULT_MAX_SEGMENT", 50)
         with pytest.raises(ResourceError):
-            sieve_values(FunctionKind.MOBIUS, 1, 100, max_segment=50)
+            sieve_values(FunctionKind.MOBIUS, 1, 100)
 
-    def test_base_primes_beyond_the_cap_rejected(self):
+    def test_base_primes_beyond_the_cap_rejected(self, monkeypatch):
         with pytest.raises(ResourceError):
             sieve_values(FunctionKind.MOBIUS, 10**18, 10**18)
+        monkeypatch.setattr(kernels, "DEFAULT_MAX_SEGMENT", 10)
         with pytest.raises(ResourceError):
-            sieve_values(FunctionKind.MOBIUS, 121, 121, max_segment=10)
-        assert sieve_values(FunctionKind.MOBIUS, 120, 120, max_segment=10).values.tolist() == [0]
+            sieve_values(FunctionKind.MOBIUS, 121, 121)
+        assert sieve_values(FunctionKind.MOBIUS, 120, 120).values.tolist() == [0]
 
     def test_value_at_bounds(self):
         t = sieve_values(FunctionKind.MOBIUS, 10, 20)

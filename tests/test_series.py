@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -49,6 +50,22 @@ class TestAccumulateExamples:
             accumulate(FunctionKind.MOBIUS, 101, max_limit=100)
 
 
+LADDER_RATIOS = (3.0, 2.0, 1.5, 1.4999999, 1.3, 1.1, 1.01, 1.001, 1.0001, 1.00001, 1.000007, 1.000003)
+
+
+def reference_ladder(limit: int, ratio: float) -> list[int]:
+    """The ratio ladder as one power per iteration: ceil(ratio**j) <= limit, plus limit."""
+    points = {limit}
+    j = 0
+    while True:
+        n = math.ceil(ratio**j)
+        if n > limit:
+            break
+        points.add(n)
+        j += 1
+    return sorted(points)
+
+
 class TestLadder:
     def test_default_ladder_values(self):
         assert geometric_ladder(100).tolist() == [1, 2, 3, 4, 6, 8, 12, 16, 23, 32, 46, 64, 91, 100]
@@ -75,9 +92,24 @@ class TestLadder:
             resolve_checkpoints(10, [20])
         with pytest.raises(DomainError):
             resolve_checkpoints(10, 0.5)
+        with pytest.raises(DomainError):
+            resolve_checkpoints(10, math.inf)
 
     def test_ratio_plan(self):
         assert resolve_checkpoints(64, 2.0).tolist() == [1, 2, 4, 8, 16, 32, 64]
+
+    @pytest.mark.parametrize("ratio", LADDER_RATIOS)
+    def test_ratio_ladder_matches_the_power_loop(self, ratio):
+        for limit in (1, 2, 3, 10, 99, 1000, 4097, 10**5, 10**6):
+            ladder = geometric_ladder(limit, ratio)
+            assert ladder.dtype == np.int64
+            assert ladder.tolist() == reference_ladder(limit, ratio), limit
+
+    def test_ratio_next_to_one_is_linear_in_the_points(self):
+        t0 = time.monotonic()
+        for ratio in (1 + 1e-12, 1.0000001, 1 + 2**-52):
+            assert geometric_ladder(10**6, ratio).tolist() == list(range(1, 10**6 + 1))
+        assert time.monotonic() - t0 < 5.0
 
     def test_limit_cap_before_the_ladder(self):
         assert resolve_checkpoints(100, "all", max_limit=100)[-1] == 100
