@@ -138,7 +138,8 @@ def fit_exponent(samples: Sequence[tuple[int, float]]) -> ExponentFit:
 
 def normalized_envelope(series: SummatorySeries) -> EnvelopeResult:
     """Max of |S(n)|/sqrt(n) over the checkpoints; ties go to the smaller n."""
-    ratios = np.abs(series.sums) / np.sqrt(series.ns.astype(np.float64))
+    ratios = np.sqrt(series.ns, dtype=np.float64)
+    np.divide(np.abs(series.sums), ratios, out=ratios)
     idx = int(np.argmax(ratios))  # first occurrence, hence the smallest n
     return EnvelopeResult(float(ratios[idx]), int(series.ns[idx]))
 
@@ -152,15 +153,16 @@ def chebyshev_bound_coverage(series: SummatorySeries, phi: SlowGrowthSpec) -> Co
     Raises:
         DomainError: phi non-positive somewhere on the probed checkpoints.
     """
-    mask = series.ns >= 2
-    ns = series.ns[mask].astype(np.float64)
-    sums = np.abs(series.sums[mask])
+    start = int(series.ns[0] < 2)  # ns is strictly increasing from n >= 1
+    ns = series.ns[start:].astype(np.float64)
     if len(ns) == 0:
         raise DomainError("coverage needs at least one checkpoint with n >= 2")
     phi_vals = np.asarray(phi.evaluator(ns), dtype=np.float64)
     if bool((phi_vals <= 0).any()):
         raise DomainError(f"phi {phi.name!r} is non-positive on the checkpoint range")
-    satisfied = int(np.count_nonzero(sums <= np.sqrt(ns) * phi_vals))
+    bound = np.sqrt(ns, out=None if np.may_share_memory(ns, phi_vals) else ns)
+    bound *= phi_vals
+    satisfied = int(np.count_nonzero(np.abs(series.sums[start:]) <= bound))
     total = int(len(ns))
     return CoverageReport(series.kind, series.limit, phi, satisfied, total,
                           satisfied / total)

@@ -10,6 +10,12 @@ once, so every value is the correctly rounded sum of f(1..n) (what
 math.fsum returns) and depends only on (kind, n), for n up to
 _FLOAT_EXACT_LIMIT.
 
+A segment holding at least as many checkpoints as terms (every n, say)
+is read out once at every prefix and then gathered at the checkpoints:
+one int64 cumsum for the integer kinds, one fixed-point readout per term
+count for the Chebyshev kinds. Either route forms the same exact sum and
+rounds it once, so which one a segment takes changes no value.
+
 Segments may be sieved by a thread pool, but the reduction is always applied
 in segment order.
 """
@@ -43,6 +49,8 @@ _LIMB_MASK = (1 << _LIMB) - 1
 #: of magnitude <= 7 stays inside int16.
 _BLOCK_BITS = 12
 _BLOCK = 1 << _BLOCK_BITS
+#: Powers per numpy block of a ratio ladder.
+_LADDER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +76,7 @@ class SummatorySeries:
             raise DomainError("checkpoint positions and sums differ in length")
         if self.ns[0] < 1 or int(self.ns[-1]) != self.limit:
             raise DomainError("checkpoints must start at n >= 1 and end at limit")
-        if len(self.ns) > 1 and not bool((np.diff(self.ns) > 0).all()):
+        if not bool((self.ns[1:] > self.ns[:-1]).all()):
             raise DomainError("checkpoint positions must be strictly increasing")
         if self.kind.is_integer_valued and bool((np.abs(self.sums) > self.ns).any()):
             raise DomainError("|S(n)| <= n violated; accumulator is corrupt")
@@ -102,27 +110,34 @@ def geometric_ladder(limit: int, ratio: float | None = None) -> np.ndarray:
         raise DomainError(f"ladder limit must be >= 1, got {limit}")
     if ratio is not None and not 1.0 < ratio < math.inf:
         raise DomainError(f"ladder ratio must be finite and exceed 1, got {ratio}")
-    points = {limit}
-    j, first = 0, 1
-    if ratio is not None:
-        # While ratio**j <= 0.5 / (ratio - 1), consecutive powers differ by at
-        # most 1/2, so their ceilings take every integer up to ceil(ratio**j).
-        top = 0.5 / (ratio - 1.0)
-        j = max(0, int(math.log(top) / math.log(ratio)))
-        while j > 0 and ratio**j > top:
-            j -= 1
-        first = min(math.ceil(ratio**j), limit)
+    if ratio is None:  # ceil(sqrt(m)) = isqrt(m - 1) + 1
+        points = {math.isqrt((1 << j) - 1) + 1 for j in range(2 * limit.bit_length())}
+        return np.array(sorted(n for n in points | {limit} if n <= limit), dtype=np.int64)
+    # While ratio**j <= 0.5 / (ratio - 1), consecutive powers differ by at
+    # most 1/2, so their ceilings take every integer up to ceil(ratio**j).
+    top = 0.5 / (ratio - 1.0)
+    j = max(0, int(math.log(top) / math.log(ratio)))
+    while j > 0 and ratio**j > top:
+        j -= 1
+    parts = [np.arange(1, min(math.ceil(ratio**j), limit))]
+    # Above that, the powers come in blocks from float_power, the C pow behind
+    # **; a block whose ends differ from ** is taken from ** term by term.
+    # They are more than 1/2 apart, far above one ulp, so their ceilings
+    # ascend and only repeats need to go.
+    last = int(math.log(limit) / math.log(ratio)) + 1  # about the first power past limit
     while True:
-        if ratio is None:
-            root = math.isqrt(1 << j)
-            n = root if root * root == 1 << j else root + 1
-        else:
-            n = math.ceil(ratio**j)
-        if n > limit:
-            break
-        points.add(n)
-        j += 1
-    return np.concatenate((np.arange(1, first), np.array(sorted(points), dtype=np.int64)))
+        end = max(min(j + _LADDER_BLOCK, last + 1), j + 1)
+        power = np.float_power(ratio, np.arange(j, end, dtype=np.float64))
+        if power[0] != ratio**j or power[-1] != ratio ** (end - 1):
+            power = np.array([ratio**k for k in range(j, end)])
+        n = np.ceil(power)
+        over = n > limit
+        if over.any():
+            parts += [n[: int(over.argmax())].astype(np.int64), np.array([limit])]
+            points = np.concatenate(parts)
+            return points[np.concatenate(([True], points[1:] != points[:-1]))]
+        parts.append(n.astype(np.int64))
+        j = end
 
 
 def resolve_checkpoints(limit: int, plan=None, *, max_limit: int = DEFAULT_MAX_LIMIT) -> np.ndarray:
@@ -237,18 +252,29 @@ class _ExactRun:
         self.total = 0  # the exact sum so far, in units of 2**-scale
 
     def add(self, terms: np.ndarray, counts) -> np.ndarray:
-        """Append terms; return the running sum after counts[i] of them."""
+        """Append terms; return the running sum after counts[i] of them.
+
+        When counts are at least as many as the terms, every prefix 0..m is
+        read out once and gathered at counts; otherwise only the counts are.
+        """
+        dense = len(counts) >= len(terms)
         if self.scale is None:
-            out, total = _block_prefix(terms, counts)
+            if dense:
+                prefix = _cumsum0(terms)
+                out, total = prefix[counts], int(prefix[-1])
+            else:
+                out, total = _block_prefix(terms, counts)
             out += self.total
             self.total += total
             return out
         x = np.ldexp(terms, self.scale).astype(np.int64)
-        hi, lo = _cumsum0(x >> _LIMB), _cumsum0(x & _LIMB_MASK)
-        h, l = hi[counts], lo[counts]
+        h, l = _cumsum0(x >> _LIMB), _cumsum0(x & _LIMB_MASK)
+        total = (int(h[-1]) << _LIMB) + int(l[-1])
+        if not dense:
+            h, l = h[counts], l[counts]
         h += self.total >> _LIMB
         l += self.total & _LIMB_MASK
-        self.total += (int(hi[-1]) << _LIMB) + int(lo[-1])
+        self.total += total
         # float(h) is exact up to the residue e = h - float(h), so the total
         # is float(h) * 2**29 + (e * 2**29 + l): two doubles, rounded once.
         h += l >> _LIMB
@@ -259,7 +285,8 @@ class _ExactRun:
         h += l
         np.ldexp(a, _LIMB, out=a)
         a += h
-        return np.ldexp(a, -self.scale, out=a)
+        np.ldexp(a, -self.scale, out=a)
+        return a[counts] if dense else a
 
 
 def _prefix_sums(
@@ -300,7 +327,11 @@ def _prefix_sums(
             terms, counts = values, at - (seg_lo - 1)
         else:
             nz = np.flatnonzero(values)
-            terms, counts = values[nz], np.searchsorted(nz + seg_lo, at, side="right")
+            terms = values[nz]
+            if len(at) >= len(nz):  # dense: _ExactRun reads out every prefix
+                counts = np.cumsum(values != 0, dtype=np.int32)[at - seg_lo]
+            else:
+                counts = np.searchsorted(nz + seg_lo, at, side="right")
         s[pos:end] = s_run.add(terms, counts)
         if squares:
             q[pos:end] = q_run.add(terms * terms, counts)

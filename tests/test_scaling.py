@@ -151,3 +151,41 @@ class TestCoverage:
         bad = SlowGrowthSpec("bad", lambda n: np.zeros_like(np.asarray(n, dtype=float)))
         with pytest.raises(DomainError):
             chebyshev_bound_coverage(series, bad)
+
+
+def reference_envelope(series):
+    """normalized_envelope as one expression over fresh temporaries."""
+    ratios = np.abs(series.sums) / np.sqrt(series.ns.astype(np.float64))
+    idx = int(np.argmax(ratios))
+    return float(ratios[idx]), int(series.ns[idx])
+
+
+def reference_coverage(series, phi):
+    """The satisfied count of chebyshev_bound_coverage, over a boolean mask of n >= 2."""
+    mask = series.ns >= 2
+    ns = series.ns[mask].astype(np.float64)
+    sums = np.abs(series.sums[mask])
+    return int(np.count_nonzero(sums <= np.sqrt(ns) * np.asarray(phi.evaluator(ns), dtype=np.float64)))
+
+
+class TestInPlaceMatchesReference:
+    @pytest.mark.parametrize("kind", [FunctionKind.LIOUVILLE, FunctionKind.CHEBYSHEV_PSI_TERM],
+                             ids=lambda k: k.label)
+    @pytest.mark.parametrize("plan", ["all", [2, 3, 9840, *range(5000, 20000, 7)]],
+                             ids=["from-1", "from-2"])
+    def test_envelope_and_coverage(self, kind, plan):
+        series = accumulate(kind, 20000, plan)
+        assert (int(series.ns[0]) == 1) == (plan == "all")
+        env = normalized_envelope(series)
+        assert (env.max_ratio, env.argmax_n) == reference_envelope(series)
+        for name in ("log", "log2", "loglog", "const", "const:0.2", "pow:0.1"):
+            phi = SlowGrowthSpec.from_name(name)
+            report = chebyshev_bound_coverage(series, phi)
+            assert report.satisfied == reference_coverage(series, phi)
+            assert report.total == len(series) - (plan == "all")
+
+    def test_phi_that_returns_its_argument(self):
+        ns = np.array([4, 9, 16], dtype=np.int64)
+        series = SummatorySeries(FunctionKind.CHEBYSHEV_PSI_TERM, 16, ns, np.array([5.0, 9.0, 60.0]))
+        phi = SlowGrowthSpec("identity", lambda n: n)
+        assert chebyshev_bound_coverage(series, phi).satisfied == reference_coverage(series, phi) == 3

@@ -111,6 +111,19 @@ class TestLadder:
             assert geometric_ladder(10**6, ratio).tolist() == list(range(1, 10**6 + 1))
         assert time.monotonic() - t0 < 5.0
 
+    def test_fine_ratio_ladder_is_quick(self):
+        t0 = time.monotonic()
+        ladder = geometric_ladder(10**8, 1.00001)
+        elapsed = time.monotonic() - t0
+        assert ladder.tolist() == reference_ladder(10**8, 1.00001)
+        assert elapsed < 0.25
+
+    def test_block_ends_off_by_one_ulp_fall_back_to_the_power_loop(self, monkeypatch):
+        real = np.float_power
+        monkeypatch.setattr(np, "float_power", lambda x, j: np.nextafter(real(x, j), np.inf))
+        for ratio in (1.001, 1.00001):
+            assert geometric_ladder(10**5, ratio).tolist() == reference_ladder(10**5, ratio)
+
     def test_limit_cap_before_the_ladder(self):
         assert resolve_checkpoints(100, "all", max_limit=100)[-1] == 100
         with pytest.raises(ResourceError):
@@ -143,9 +156,10 @@ class TestSeriesInvariants:
         assert bool((np.abs(s.sums) <= s.ns).all())
 
     def test_construction_rejects_bad_checkpoints(self):
-        ns = np.array([1, 5, 3], dtype=np.int64)
-        with pytest.raises(DomainError):
-            SummatorySeries(FunctionKind.MOBIUS, 5, ns, np.zeros(3, dtype=np.int64))
+        for ns in ([1, 5, 3], [1, 5, 5]):
+            with pytest.raises(DomainError):
+                SummatorySeries(FunctionKind.MOBIUS, 5, np.array(ns, dtype=np.int64),
+                                np.zeros(3, dtype=np.int64))
         with pytest.raises(DomainError):
             SummatorySeries(FunctionKind.MOBIUS, 5, np.array([1, 4], dtype=np.int64),
                             np.zeros(2, dtype=np.int64))  # last != limit
@@ -242,6 +256,20 @@ class TestIntegerReadout:
             tracemalloc.stop()
         assert peak <= 2 * n
 
+    @pytest.mark.parametrize("kind", [FunctionKind.MOBIUS, FunctionKind.CHEBYSHEV_PSI_TERM],
+                             ids=lambda k: k.label)
+    def test_peak_memory_of_an_every_n_walk(self, kind):
+        n = 10**6
+        accumulate(kind, 1000, "all")
+        tracemalloc.start()
+        try:
+            accumulate(kind, n, "all")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A readout per checkpoint took 53 (mobius) and 67 (psi) bytes per n.
+        assert peak <= 46 * n
+
     @pytest.mark.parametrize("kind", [k for k in FunctionKind if k.is_integer_valued], ids=lambda k: k.label)
     def test_segment_size_never_changes_s_or_q(self, kind):
         limit = 5 * B + 3
@@ -255,6 +283,61 @@ class TestIntegerReadout:
             cps = resolve_checkpoints(limit, plan)
             assert np.frombuffer(sums.pop(), dtype=np.int64).tolist() == exact_prefix(full)[cps].tolist()
             assert [q for _, q in scans.pop()] == exact_prefix(full * full)[cps].tolist()
+
+
+def exact_run_terms(scale, length: int, seed: int) -> np.ndarray:
+    """Terms _ExactRun(scale) takes: ±1/0, log p (2**-53 grid) or its square (2**-54 grid)."""
+    rng = np.random.default_rng(seed)
+    if scale is None:
+        return rng.choice(np.array([-1, 0, 1], dtype=np.int8), length)
+    logs = np.log(rng.choice(np.array([2.0, 3.0, 5.0, 97.0, 65521.0, 999983.0]), length))
+    return logs if scale == 53 else logs * logs
+
+
+class TestDenseReadout:
+    """Counts at least as many as the terms take one readout of every prefix."""
+
+    @given(
+        st.sampled_from([None, 53, 54]),
+        st.lists(st.tuples(st.integers(0, B + 17), st.integers(-1, 1), st.integers(0, 2**32 - 1)),
+                 min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_below_at_and_above_the_term_count(self, scale, steps):
+        run, exact = _ExactRun(scale), [0]
+        for length, extra, seed in steps:
+            terms = exact_run_terms(scale, length, seed)
+            counts = np.sort(np.random.default_rng(seed).integers(0, length + 1, max(0, length + extra)))
+            base = len(exact) - 1
+            units = terms.tolist() if scale is None else [int(t) for t in np.ldexp(terms, scale)]
+            for u in units:
+                exact.append(exact[-1] + u)
+            out = run.add(terms, counts).tolist()
+            if scale is None:
+                assert out == [exact[base + c] for c in counts.tolist()]
+            else:
+                assert out == [math.ldexp(float(exact[base + c]), -scale) for c in counts.tolist()]
+            assert run.total == exact[-1]
+
+    @pytest.mark.parametrize("kind", list(FunctionKind), ids=lambda k: k.label)
+    def test_walk_dense_then_sparse(self, kind, monkeypatch):
+        limit, size = 12000, 1000
+        plan = [*range(1, 3001), *range(3001, limit, 700)]
+        sparse = []
+        real = series_mod._block_prefix
+        monkeypatch.setattr(series_mod, "_block_prefix",
+                            lambda terms, counts: sparse.append(len(counts)) or real(terms, counts))
+        table = moment_scan(kind, limit, plan, segment_size=size)
+        values = sieve_values(kind, 1, limit).values
+        if kind.is_integer_valued:
+            assert table.S.tolist() == exact_prefix(values)[table.n].tolist()
+            assert table.Q.tolist() == exact_prefix(values * values)[table.n].tolist()
+            # Only the nine segments past the every-n stretch hold fewer counts than terms.
+            assert len(sparse) == 2 * 9
+        else:
+            squares = values * values
+            assert table.S.tolist() == [math.fsum(values[:n]) for n in table.n.tolist()]
+            assert table.Q.tolist() == [math.fsum(squares[:n]) for n in table.n.tolist()]
 
 
 class TestValueAt:
