@@ -217,7 +217,7 @@ def _try_cached_series(cache_dir, kind, limit, cps, threads):
                 served = _restrict(stored, cps)
                 if served is not None:
                     return served
-                plan = np.union1d(stored.ns, cps)
+                plan = np.concatenate((stored.ns, cps))
             else:
                 print(f"warning: cache file {path} does not match, rebuilding", file=sys.stderr)
     series = accumulate(kind, limit, plan, threads=threads)

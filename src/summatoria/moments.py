@@ -22,11 +22,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .kernels import FunctionKind, ValueTable, sieve_values
+from .kernels import FunctionKind, ValueTable
+from .kernels import sieve_values  # noqa: F401  kept for the benchmark's tracer (ROADMAP direction 1)
 from .series import (
     _FLOAT_EXACT_LIMIT,
     DEFAULT_SEGMENT,
     _ExactRun,
+    _ordered_segments,
     _prefix_sums,
     resolve_checkpoints,
 )
@@ -195,7 +197,7 @@ def lag_covariance(table: ValueTable, lag: int, window: tuple[int, int]) -> LagC
     return LagCovariance(table.kind, lag, (lo, hi), cov, corr)
 
 
-def prime_adjacent_joint(N: int, *, table: ValueTable | None = None) -> AdjacentPrimeStats:
+def prime_adjacent_joint(N: int) -> AdjacentPrimeStats:
     """Joint vs product frequency of consecutive prime indicators.
 
     Over k = 3 .. N-1: the joint frequency of (k prime and k+1 prime),
@@ -204,22 +206,16 @@ def prime_adjacent_joint(N: int, *, table: ValueTable | None = None) -> Adjacent
     is identically 0 while the product stays positive; the two disagree,
     which is the dependence being probed.
 
-    A prime-indicator table covering [1, N] may be passed to skip the sieve;
-    without one, [3, N] is sieved a segment of DEFAULT_SEGMENT entries at a time.
+    One walk over the segments of [1, N] that moment_scan walks, with one
+    base-prime sieve, counts the primes and prime pairs; no table is taken.
     """
     if N < 5:
         raise DomainError(f"need N >= 5 for the k in [3, N-1] window, got {N}")
-    if table is None:
-        chunks = (sieve_values(FunctionKind.PRIME_INDICATOR, lo, min(lo + DEFAULT_SEGMENT - 1, N)).values
-                  for lo in range(3, N + 1, DEFAULT_SEGMENT))
-    elif table.kind is not FunctionKind.PRIME_INDICATOR or table.lo != 1 or table.hi < N:
-        raise DomainError("need a prime-indicator table covering [1, N]")
-    else:
-        chunks = [table.values[2:N]]  # k = 3 .. N
     primes = joint = 0
-    last = False  # the indicator just before the current chunk
-    for values in chunks:
+    last = False  # the indicator just before the current segment
+    for lo, _, values in _ordered_segments(FunctionKind.PRIME_INDICATOR, N, DEFAULT_SEGMENT, 1):
         prime = values == 1
+        prime[: max(0, 3 - lo)] = False  # the window starts at k = 3
         primes += int(np.count_nonzero(prime))
         joint += int(np.count_nonzero(prime[:-1] & prime[1:])) + int(last and prime[0])
         last = bool(prime[-1])

@@ -69,20 +69,23 @@ class SlowGrowthSpec:
             return SlowGrowthSpec("log2", lambda n: np.log(n) ** 2)
         if base == "loglog" and not arg:
             return SlowGrowthSpec("loglog", lambda n: np.log1p(np.log(n)))
+        try:
+            number = float(arg) if arg else None
+        except ValueError:
+            raise DomainError(f"bad phi {name!r}: {arg!r} is not a number") from None
         if base == "const":
-            c = float(arg) if arg else 1.0
+            c = 1.0 if number is None else number
             if not c > 0:
                 raise DomainError(f"constant phi must be positive, got {c}")
             return SlowGrowthSpec(f"const:{c:g}", lambda n, c=c: np.full_like(
                 np.asarray(n, dtype=np.float64), c) if np.ndim(n) else c)
         if base == "pow":
-            if not arg:
+            if number is None:
                 raise DomainError("pow phi needs an exponent, e.g. pow:0.1")
-            e = float(arg)
-            if not e > 0:
-                raise DomainError(f"pow phi exponent must be positive, got {e}")
-            return SlowGrowthSpec(f"pow:{e:g}",
-                                  lambda n, e=e: np.asarray(n, dtype=np.float64) ** e)
+            if not number > 0:
+                raise DomainError(f"pow phi exponent must be positive, got {number}")
+            return SlowGrowthSpec(f"pow:{number:g}",
+                                  lambda n, e=number: np.asarray(n, dtype=np.float64) ** e)
         raise DomainError(f"unknown phi name {name!r}")
 
 

@@ -36,6 +36,8 @@ from .kernels import FunctionKind, base_primes, sieve_values
 DEFAULT_SEGMENT = 1 << 22
 #: Refuse limits above this unless the caller raises the cap explicitly.
 DEFAULT_MAX_LIMIT = 10**9
+#: Refuse a ladder of more checkpoints than this: 1.6 GB of int64 n and S(n).
+MAX_CHECKPOINTS = 10**8
 #: Largest n for which float prefix sums stay exact. The fixed-point scale
 #: of a square (log p)^2 is 2**54, so it fits int64 while (log n)^2 < 2**9,
 #: and the high limb 2**25 Q(n) stays below 2**62, since Q(n) <= log(n) psi(n)
@@ -105,6 +107,7 @@ def geometric_ladder(limit: int, ratio: float | None = None) -> np.ndarray:
     The default ratio sqrt(2) doubles the checkpoint every two steps, which
     spaces samples evenly on a log axis; that default is evaluated in exact
     integer arithmetic as ceil(sqrt(2**j)) so no float drift creeps in.
+    Past MAX_CHECKPOINTS points, ResourceError comes before any allocation.
     """
     if limit < 1:
         raise DomainError(f"ladder limit must be >= 1, got {limit}")
@@ -116,6 +119,10 @@ def geometric_ladder(limit: int, ratio: float | None = None) -> np.ndarray:
     # While ratio**j <= 0.5 / (ratio - 1), consecutive powers differ by at
     # most 1/2, so their ceilings take every integer up to ceil(ratio**j).
     top = 0.5 / (ratio - 1.0)
+    count = min(limit, top) + max(0.0, (math.log(limit) - math.log(top)) / math.log(ratio))
+    if count > MAX_CHECKPOINTS:
+        raise ResourceError(f"a ladder of ratio {ratio!r} up to {limit} has about {count:.3g} "
+                            f"checkpoints, above the cap of {MAX_CHECKPOINTS}")
     j = max(0, int(math.log(top) / math.log(ratio)))
     while j > 0 and ratio**j > top:
         j -= 1
@@ -145,8 +152,10 @@ def resolve_checkpoints(limit: int, plan=None, *, max_limit: int = DEFAULT_MAX_L
 
     Accepted plans: None or "geometric" (default ladder), "all" (every n),
     a numeric ratio > 1, or an explicit iterable of positions. Explicit
-    positions are deduplicated, sorted, and extended with limit if absent.
-    A limit above max_limit raises ResourceError before any allocation.
+    positions are resolved in numpy: one array with limit appended, sorted,
+    checked, cast to int64 and deduplicated. A limit above max_limit, or a
+    generated plan of more than MAX_CHECKPOINTS points, raises ResourceError
+    before any allocation.
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
@@ -156,16 +165,19 @@ def resolve_checkpoints(limit: int, plan=None, *, max_limit: int = DEFAULT_MAX_L
         return geometric_ladder(limit)
     if isinstance(plan, str):
         if plan == "all":
+            if limit > MAX_CHECKPOINTS:
+                raise ResourceError(f"every n is {limit} checkpoints, above the cap of {MAX_CHECKPOINTS}")
             return np.arange(1, limit + 1, dtype=np.int64)
         raise DomainError(f"unknown checkpoint plan {plan!r}")
     if isinstance(plan, (int, float)) and not isinstance(plan, bool):
         return geometric_ladder(limit, ratio=float(plan))
-    points = sorted({int(n) for n in plan} | {limit})
-    if not points or points[0] < 1:
+    points = np.sort(np.append(plan, limit) if isinstance(plan, np.ndarray) else np.array([*plan, limit]))
+    if points[0] < 1:
         raise DomainError("explicit checkpoints must be positive integers")
     if points[-1] > limit:
         raise DomainError(f"checkpoint {points[-1]} exceeds limit {limit}")
-    return np.array(points, dtype=np.int64)
+    points = points.astype(np.int64, copy=False)
+    return points[np.concatenate(([True], points[1:] != points[:-1]))]
 
 
 def _ordered_segments(kind: FunctionKind, stop: int, segment_size: int, threads: int):

@@ -220,7 +220,7 @@ class _Suite:
         if self.scale < 5:
             return "SKIP", "note=needs-limit>=5"
         primes = self.tables[FunctionKind.PRIME_INDICATOR]
-        stats = prime_adjacent_joint(self.scale, table=primes)
+        stats = prime_adjacent_joint(self.scale)
         lc_prime = lag_covariance(primes, 1, (3, self.scale))
         lc_lam = lag_covariance(self.tables[FunctionKind.LIOUVILLE], 1, (3, self.scale))
         factor = (abs(lc_prime.corr) / abs(lc_lam.corr)) if lc_lam.corr != 0 else math.inf

@@ -582,11 +582,14 @@ class TestExitCodes:
         assert main(["sum", "--kind", "mobius", "--limit", "2e9"]) == 3
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["stats", "--kind", "mobius", "--limit", "2e9"],
-        ["sum", "--kind", "mobius", "--limit", "2e9", "--ladder", "all"],
-    ], ids=["stats", "sum-all"])
-    def test_past_max_limit_exits_three_before_allocating(self, argv, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["stats", "--kind", "mobius", "--limit", "2e9"], "exceeds the configured maximum"),
+        (["sum", "--kind", "mobius", "--limit", "2e9", "--ladder", "all"], "exceeds the configured maximum"),
+        (["sum", "--kind", "mobius", "--limit", "1e9", "--ladder", "all"], "above the cap of 100000000"),
+        (["sum", "--kind", "mobius", "--limit", "1e9", "--ladder", repr(1 + 2**-52)],
+         "above the cap of 100000000"),
+    ], ids=["stats", "sum-all", "sum-all-1e9", "sum-ratio-1e9"])
+    def test_past_max_limit_exits_three_before_allocating(self, argv, message, monkeypatch, capsys):
         class GuardedNumpy:
             """numpy, except that arange refuses more than 10**8 entries."""
 
@@ -604,7 +607,17 @@ class TestExitCodes:
         monkeypatch.setattr(series_mod, "np", GuardedNumpy())
         monkeypatch.setattr(series_mod, "_ordered_segments", walk)
         assert main(argv) == 3
-        assert "exceeds the configured maximum" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phi", ["pow:x", "const:abc"])
+    def test_phi_that_is_not_a_number_exits_two(self, phi, capsys):
+        assert main(["scaling", "--kind", "liouville", "--limit", "100", "--phi", phi]) == 2
+        assert capsys.readouterr().err.startswith("error: bad phi")
+
+    @pytest.mark.parametrize("ladder", ["99999999999999999999,", "5,99999999999999999999"])
+    def test_checkpoint_past_int64_exits_two(self, ladder, capsys):
+        assert main(["sum", "--kind", "mobius", "--limit", "10", "--ladder", ladder]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_sieve_past_the_base_prime_cap_exits_three_at_once(self, capsys):
         t0 = time.monotonic()

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from summatoria import kernels
 from summatoria import moments as moments_mod
+from summatoria import series as series_mod
 from summatoria.errors import DomainError, ResourceError
 from summatoria.kernels import FunctionKind, ValueTable, sieve_values
 from summatoria.moments import (
@@ -251,10 +253,19 @@ class TestAdjacentPrimes:
         with pytest.raises(DomainError):
             prime_adjacent_joint(4)
 
+    @staticmethod
+    def counted(values, n):
+        """(joint, product) over k = 3 .. n-1 from one indicator array, k at index k - 1."""
+        prime = values[2:n] == 1  # k = 3 .. n
+        count = n - 3
+        joint = int(np.count_nonzero(prime[:-1] & prime[1:]))
+        return joint / count, int(np.count_nonzero(prime[:-1])) / count * (
+            int(np.count_nonzero(prime[1:])) / count)
+
     def test_segmented_sieve_matches_one_table(self):
         n = DEFAULT_SEGMENT + 5
-        table = sieve_values(FunctionKind.PRIME_INDICATOR, 1, n)
-        assert prime_adjacent_joint(n) == prime_adjacent_joint(n, table=table)
+        want = self.counted(sieve_values(FunctionKind.PRIME_INDICATOR, 1, n).values, n)
+        assert tuple(prime_adjacent_joint(n)) == want
 
     @pytest.mark.parametrize("segment", [1, 2, 3, 7, 64])
     def test_counts_carry_across_segment_boundaries(self, monkeypatch, segment):
@@ -262,23 +273,25 @@ class TestAdjacentPrimes:
         # straddle a boundary count; real primes above 2 have none.
         n = 60
         values = np.random.default_rng(segment).integers(0, 2, n).astype(np.int8)
-        values[[2, 3, 4, 30, 31, n - 2, n - 1]] = 1
-        table = ValueTable(FunctionKind.PRIME_INDICATOR, 1, n, values)
+        values[[0, 1, 2, 3, 4, 30, 31, n - 2, n - 1]] = 1
 
-        def fake(kind, lo, hi):
+        def fake(kind, lo, hi, *, primes=None):
             assert hi - lo + 1 <= segment
             return ValueTable(kind, lo, hi, values[lo - 1 : hi])
 
-        want = prime_adjacent_joint(n, table=table)
         monkeypatch.setattr(moments_mod, "DEFAULT_SEGMENT", segment)
-        monkeypatch.setattr(moments_mod, "sieve_values", fake)
-        assert want.joint > 0
-        assert prime_adjacent_joint(n) == want
+        monkeypatch.setattr(series_mod, "sieve_values", fake)
+        want = self.counted(values, n)
+        assert want[0] > 0
+        assert tuple(prime_adjacent_joint(n)) == want
 
-    def test_table_reuse_must_match(self):
-        t = sieve_values(FunctionKind.LIOUVILLE, 1, 100)
-        with pytest.raises(DomainError):
-            prime_adjacent_joint(100, table=t)
+    def test_one_base_prime_sieve_per_walk(self, monkeypatch):
+        calls = []
+        real = kernels.primes_upto
+        monkeypatch.setattr(kernels, "primes_upto", lambda limit: calls.append(limit) or real(limit))
+        monkeypatch.setattr(moments_mod, "DEFAULT_SEGMENT", 1000)
+        prime_adjacent_joint(10**5)
+        assert calls == [math.isqrt(10**5)]
 
 
 class TestDecomposition:

@@ -124,12 +124,83 @@ class TestLadder:
         for ratio in (1.001, 1.00001):
             assert geometric_ladder(10**5, ratio).tolist() == reference_ladder(10**5, ratio)
 
+    def test_checkpoint_cap_before_the_ladder(self, monkeypatch):
+        with pytest.raises(ResourceError, match="above the cap"):
+            resolve_checkpoints(10**9, "all")
+        with pytest.raises(ResourceError, match="above the cap"):
+            geometric_ladder(10**9, 1 + 2**-52)
+        monkeypatch.setattr(series_mod, "MAX_CHECKPOINTS", 1000)
+        assert len(resolve_checkpoints(1000, "all")) == 1000
+        with pytest.raises(ResourceError):
+            resolve_checkpoints(1001, "all")
+        assert len(geometric_ladder(10**6, 1.02)) <= 1000
+        with pytest.raises(ResourceError):
+            geometric_ladder(10**6, 1.001)  # 500 points below 500, then about 7600 powers
+
     def test_limit_cap_before_the_ladder(self):
         assert resolve_checkpoints(100, "all", max_limit=100)[-1] == 100
         with pytest.raises(ResourceError):
             resolve_checkpoints(101, "all", max_limit=100)
         with pytest.raises(ResourceError):
             resolve_checkpoints(DEFAULT_MAX_LIMIT + 1)
+
+
+def set_resolved(limit, plan):
+    """The explicit plan resolved through a Python set of every position."""
+    points = sorted({int(n) for n in plan} | {limit})
+    if points[0] < 1:
+        raise DomainError("explicit checkpoints must be positive integers")
+    if points[-1] > limit:
+        raise DomainError(f"checkpoint {points[-1]} exceeds limit {limit}")
+    return points
+
+
+CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "set": set,
+    "generator": lambda v: (n for n in v),
+    "array": lambda v: np.array(v, dtype=np.int64),
+}
+
+
+class TestExplicitPlans:
+    @given(limit=st.integers(1, 200), values=st.lists(st.integers(-3, 250), max_size=40),
+           with_limit=st.booleans(), container=st.sampled_from(sorted(CONTAINERS)))
+    @settings(max_examples=300, deadline=None)
+    def test_numpy_resolver_equals_the_set(self, limit, values, with_limit, container):
+        values = values + [limit] * with_limit
+        try:
+            want = set_resolved(limit, values)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                resolve_checkpoints(limit, CONTAINERS[container](values))
+            assert str(got.value) == str(exc)
+            return
+        got = resolve_checkpoints(limit, CONTAINERS[container](values))
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("container", ["list", "tuple", "set", "generator"])
+    @pytest.mark.parametrize("big", [2**63, 10**20, -(2**63) - 1])
+    def test_positions_past_int64_are_domain_errors(self, container, big):
+        with pytest.raises(DomainError):
+            set_resolved(10, [5, big])
+        with pytest.raises(DomainError):
+            resolve_checkpoints(10, CONTAINERS[container]([5, big]))
+
+    def test_peak_memory_per_checkpoint(self):
+        n = 10**6
+        plan = np.arange(1, n + 1)
+        resolve_checkpoints(n, plan)
+        tracemalloc.start()
+        try:
+            resolve_checkpoints(n, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A Python set of every position took 99 bytes per checkpoint.
+        assert peak <= 40 * n
 
 
 class TestDeviation:
