@@ -33,11 +33,8 @@ from .moments import (
     AdjacentPrimeStats,
     LagCovariance,
     MomentTable,
-    ParityCounts,
     lag_covariance,
     moment_scan,
-    pair_product_counts,
-    parity_counts,
     prime_adjacent_joint,
 )
 from .scaling import (
@@ -69,7 +66,6 @@ __all__ = [
     "IntegrityError",
     "LagCovariance",
     "MomentTable",
-    "ParityCounts",
     "ResourceError",
     "SlowGrowthSpec",
     "SummatoriaError",
@@ -86,8 +82,6 @@ __all__ = [
     "load",
     "moment_scan",
     "normalized_envelope",
-    "pair_product_counts",
-    "parity_counts",
     "prime_adjacent_joint",
     "primes_upto",
     "resolve_checkpoints",

@@ -7,10 +7,6 @@ integers for the ±1/0-valued kinds, so the algebraic identities hold
 bit-for-bit, and correctly rounded sums for the Chebyshev kinds. moment_scan
 returns them at every checkpoint of a plan from one such walk, as one
 MomentTable of numpy columns with no Python object per checkpoint.
-
-The pair average over ordered pairs with i != j uses the divisor n(n-1);
-pair_product_counts instead counts over the full grid including i = j.
-Each docstring says which convention applies.
 """
 
 from __future__ import annotations
@@ -34,34 +30,11 @@ from .series import (
 )
 
 
-class PairProducts(NamedTuple):
-    """Ordered sign-pair counts over the full n x n grid (i = j included)."""
-
-    n_pp: int
-    n_mm: int
-    n_pm: int
-    n_mp: int
-
-
 class AdjacentPrimeStats(NamedTuple):
     """Empirical joint vs product frequency for consecutive prime indicators."""
 
     joint: float
     product: float
-
-
-@dataclass(frozen=True)
-class ParityCounts:
-    """How many k <= n have f(k) = +1, -1, 0."""
-
-    n: int
-    n_plus: int
-    n_minus: int
-    n_zero: int
-
-    def __post_init__(self) -> None:
-        if self.n_plus + self.n_minus + self.n_zero != self.n:
-            raise DomainError("parity counts do not add up to n")
 
 
 @dataclass(frozen=True)
@@ -121,34 +94,6 @@ def _moment_table(kind: FunctionKind, n: np.ndarray, s: np.ndarray, q: np.ndarra
     for col in columns:
         col.flags.writeable = False
     return MomentTable(kind, *columns)
-
-
-def parity_counts(table: ValueTable, n: int) -> ParityCounts:
-    """Exact counts of +1 / -1 / 0 values among f(1..n) from a dense table."""
-    if table.lo != 1 or table.hi < n:
-        raise DomainError(f"table [{table.lo}, {table.hi}] does not cover [1, {n}]")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if not table.kind.is_integer_valued:
-        raise DomainError(f"parity counts need a ±1/0-valued kind, not {table.kind.label}")
-    v = table.values[:n]
-    plus = int(np.count_nonzero(v == 1))
-    minus = int(np.count_nonzero(v == -1))
-    return ParityCounts(n, plus, minus, n - plus - minus)
-
-
-def pair_product_counts(counts: ParityCounts) -> PairProducts:
-    """Sign-pair counts over the full grid, i = j included.
-
-    (+,+) pairs number n_plus^2, (-,-) pairs n_minus^2, and each mixed
-    orientation n_plus * n_minus. Zero-valued positions contribute nothing.
-    """
-    return PairProducts(
-        counts.n_plus * counts.n_plus,
-        counts.n_minus * counts.n_minus,
-        counts.n_plus * counts.n_minus,
-        counts.n_plus * counts.n_minus,
-    )
 
 
 def lag_covariance(table: ValueTable, lag: int, window: tuple[int, int]) -> LagCovariance:

@@ -88,18 +88,6 @@ class SummatorySeries:
     def __len__(self) -> int:
         return len(self.ns)
 
-    @property
-    def checkpoints(self) -> list[tuple[int, int] | tuple[int, float]]:
-        """The (n, S(n)) pairs as Python scalars, ascending in n."""
-        cast = int if self.kind.is_integer_valued else float
-        return [(int(n), cast(s)) for n, s in zip(self.ns, self.sums)]
-
-    @property
-    def final_sum(self):
-        """S(limit)."""
-        s = self.sums[-1]
-        return int(s) if self.kind.is_integer_valued else float(s)
-
 
 def geometric_ladder(limit: int, ratio: float | None = None) -> np.ndarray:
     """Checkpoint positions ceil(ratio**j) <= limit, deduplicated, plus limit.

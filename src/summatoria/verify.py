@@ -9,7 +9,11 @@ contains only deterministic fields, never timings, so two runs of
 The suite is a client of the package. The second moments that criteria 2
 and 4 check are the columns of the MomentTable that moment_scan returns,
 the table the `stats` subcommand prints, and criterion 5 is
-normalized_envelope, the envelope the `scaling` subcommand reports.
+normalized_envelope, the envelope the `scaling` subcommand reports. The
+every-n S(n) of criteria 2 to 6 is accumulate(kind, n, "all"). Criterion 2
+holds the geometric table against it, so the walk's dense readout meets its
+sparse one, and against N(+1) and N(-1), two int64 cumsums of the sieved
+table: S = N(+1) - N(-1) and Q = N(+1) + N(-1).
 Criterion 1 sieves each kind over [1, min(limit, 10**5)] and compares it
 with trial_division_counts, trial division over that whole array at once,
 mapped to the five kinds by values_from_counts.
@@ -42,15 +46,9 @@ from .kernels import (
     trial_division_counts,
     values_from_counts,
 )
-from .moments import (
-    lag_covariance,
-    moment_scan,
-    pair_product_counts,
-    parity_counts,
-    prime_adjacent_joint,
-)
+from .moments import lag_covariance, moment_scan, prime_adjacent_joint
 from .scaling import SlowGrowthSpec, chebyshev_bound_coverage, normalized_envelope
-from .series import SummatorySeries, accumulate
+from .series import accumulate
 
 FULL_SCALE = 10**6
 ORACLE_SCALE = 10**5
@@ -118,8 +116,7 @@ class _Suite:
         n = self.scale
         self.tables = {kind: sieve_values(kind, 1, n) for kind in FunctionKind if kind.is_integer_valued}
         # S(n) at every n <= scale, for the two ±1/0 kinds the paper studies.
-        self.dense = {kind: SummatorySeries(kind, n, np.arange(1, n + 1, dtype=np.int64),
-                                            np.cumsum(self.tables[kind].values, dtype=np.int64))
+        self.dense = {kind: accumulate(kind, n, "all", threads=self.threads)
                       for kind in (FunctionKind.MOBIUS, FunctionKind.LIOUVILLE)}
         self.scans = {kind: moment_scan(kind, n, "geometric") for kind in self.dense}
 
@@ -134,25 +131,17 @@ class _Suite:
         return status, f"checked={n_max} kinds=5 mismatches={mismatches}"
 
     def exact_identities(self):
-        bad = 0
-        points = 0
+        bad = points = 0
         for kind, series in self.dense.items():
-            columns = (col.tolist() for col in self.scans[kind][1:])
-            for n, s, q, _, _, f2, diag, cross in zip(*columns):
-                points += 1
-                counts = parity_counts(self.tables[kind], n)
-                pairs = pair_product_counts(counts)
-                ok = (
-                    s == int(series.sums[n - 1])
-                    and s == counts.n_plus - counts.n_minus
-                    and q == counts.n_plus + counts.n_minus
-                    and f2 == diag + cross
-                    and f2 == s * s
-                    and diag == q
-                    and f2 == pairs.n_pp + pairs.n_mm - pairs.n_pm - pairs.n_mp
-                )
-                if not ok:
-                    bad += 1
+            t = self.scans[kind]
+            at = t.n - 1
+            v = self.tables[kind].values
+            n_plus = np.cumsum(v == 1, dtype=np.int64)[at]
+            n_minus = np.cumsum(v == -1, dtype=np.int64)[at]
+            ok = ((t.S == series.sums[at]) & (t.S == n_plus - n_minus) & (t.Q == n_plus + n_minus)
+                  & (t.F2 == t.diag + t.cross) & (t.F2 == t.S * t.S) & (t.diag == t.Q))
+            points += len(ok)
+            bad += int(np.count_nonzero(~ok))
         return "PASS" if bad == 0 else "FAIL", f"ladder_points={points} violations={bad}"
 
     def cross_sum_decay(self):
@@ -287,13 +276,14 @@ class _Suite:
             save(probe, base)
             raw = probe.read_bytes()
             detected = 0
-            for _ in range(100):
+            for i in range(100):
                 buf = bytearray(raw)
                 pos = rng.randrange(len(raw))
                 buf[pos] ^= rng.randrange(1, 256)
-                probe.write_bytes(bytes(buf))
+                mutant = tmp / f"fuzz-{i}.sumf"
+                mutant.write_bytes(bytes(buf))
                 try:
-                    load(probe)
+                    load(mutant)
                 except IntegrityError:
                     detected += 1
                 except SummatoriaError:

@@ -15,7 +15,6 @@ PUBLIC = [
     "IntegrityError",
     "LagCovariance",
     "MomentTable",
-    "ParityCounts",
     "ResourceError",
     "SlowGrowthSpec",
     "SummatoriaError",
@@ -32,8 +31,6 @@ PUBLIC = [
     "load",
     "moment_scan",
     "normalized_envelope",
-    "pair_product_counts",
-    "parity_counts",
     "prime_adjacent_joint",
     "primes_upto",
     "resolve_checkpoints",
@@ -45,12 +42,14 @@ PUBLIC = [
 
 #: S(n) is its own deviation and moment_scan returns every per-n moment as
 #: one table of columns, so these wrappers and per-n helpers and objects stay
-#: out of their home modules.
+#: out of their home modules. Sign and sign-pair counts are two cumsums in
+#: verify's criterion 2, not package API.
 REMOVED = {
     series: ("MeanModel", "DeviationSeries", "deviation_series", "value_at"),
     moments: ("sum_of_squares", "covariance_gap", "second_moment_decomposition",
               "grid_sum_ratio", "_report_at", "MomentReport", "SecondMomentDecomposition",
-              "_report"),
+              "_report", "parity_counts", "pair_product_counts", "ParityCounts",
+              "PairProducts"),
     scaling: ("slow_growth_check",),
 }
 
@@ -68,3 +67,6 @@ def test_removed_names_stay_removed():
             assert not hasattr(summatoria, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(kernels.ValueTable, "value_at")
+    # a series is read through its ns and sums columns
+    for name in ("checkpoints", "final_sum"):
+        assert not hasattr(series.SummatorySeries, name), name

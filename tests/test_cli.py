@@ -16,7 +16,7 @@ from summatoria.cache import load
 from summatoria.cli import fmt12, main, parse_kind, parse_ladder, parse_limit
 from summatoria.kernels import FunctionKind, ValueTable, sieve_values
 from summatoria.moments import moment_scan, prime_adjacent_joint
-from summatoria.series import accumulate, resolve_checkpoints
+from summatoria.series import SummatorySeries, accumulate, resolve_checkpoints
 
 
 def run_cli(*argv, output=None):
@@ -173,16 +173,17 @@ class TestSumCommand:
         limit = 3 * 4096 + 5
         series = accumulate(parse_kind(kind), limit, "all")
         cell = str if series.kind.is_integer_valued else fmt12
+        pairs = list(zip(series.ns.tolist(), series.sums.tolist()))
         for fmt in ("csv", "json"):
             out = tmp_path / f"s.{fmt}"
             assert run_cli("sum", "--kind", kind, "--limit", limit, "--ladder", "all",
                            "--format", fmt, output=out)[0] == 0
             if fmt == "csv":
-                rows = [f"{n},{cell(s)}" for n, s in series.checkpoints]
+                rows = [f"{n},{cell(s)}" for n, s in pairs]
                 assert out.read_text() == "\n".join(["n,S", *rows]) + "\n"
             else:
                 doc = json.loads(out.read_text())
-                assert doc["checkpoints"] == [{"n": n, "S": s} for n, s in series.checkpoints]
+                assert doc["checkpoints"] == [{"n": n, "S": s} for n, s in pairs]
 
     def test_ratio_ladder_next_to_one_is_quick(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -228,7 +229,7 @@ class TestSumCommand:
         assert "warning: ignoring cache file" in capsys.readouterr().err
         assert out1.read_bytes() == out3.read_bytes()
         # the rebuild also repaired the cache file
-        assert load(cached).final_sum == -46
+        assert load(cached).sums[-1] == -46
 
 
     @pytest.mark.parametrize("kind", ["mobius", "psi"])
@@ -258,9 +259,9 @@ class TestSumCommand:
         for plan in ("geometric", "7,11,13", "geometric", "11,7"):
             assert run_cli("sum", "--kind", "liouville", "--limit", "500", "--ladder", plan,
                            "--cache-dir", cache, output=tmp_path / "r.csv")[0] == 0
+            want = accumulate(FunctionKind.LIOUVILLE, 500, parse_ladder(plan))
             assert (tmp_path / "r.csv").read_text().splitlines()[1:] == [
-                f"{n},{s}" for n, s in accumulate(FunctionKind.LIOUVILLE, 500, parse_ladder(plan))
-                .checkpoints
+                f"{n},{s}" for n, s in zip(want.ns.tolist(), want.sums.tolist())
             ]
         assert len(builds) == 2
         stored = load(cache / "liouville-series-1-500.sumf")
@@ -551,6 +552,44 @@ class TestVerifyCommand:
         assert code == 1
         rows = out.read_text().splitlines()
         assert rows[1] == '1,oracle-equivalence,FAIL,"checked=1000 kinds=5 mismatches=1"'
+
+    def test_one_moment_cell_off_fails_exact_identities(self, tmp_path, monkeypatch):
+        real = verify_mod.moment_scan
+
+        def planted(kind, limit, plan=None, **kwargs):
+            table = real(kind, limit, plan, **kwargs)
+            if kind is not FunctionKind.LIOUVILLE or plan != "geometric":
+                return table
+            q = table.Q.copy()
+            q[7] += 1  # Q(16), which diag repeats
+            return table._replace(Q=q, diag=q)
+
+        monkeypatch.setattr(verify_mod, "moment_scan", planted)
+        out = tmp_path / "v.csv"
+        code, _ = run_cli("verify", "--limit", "1000", output=out)
+        assert code == 1
+        rows = out.read_text().splitlines()
+        assert rows[2] == '2,exact-identities,FAIL,"ladder_points=40 violations=1"'
+        assert all(",FAIL," not in row for row in rows[1:2] + rows[3:])
+
+    def test_one_every_n_sum_off_fails_exact_identities(self, tmp_path, monkeypatch):
+        real = verify_mod.accumulate
+
+        def nudged(kind, limit, plan=None, **kwargs):
+            series = real(kind, limit, plan, **kwargs)
+            if kind is not FunctionKind.MOBIUS or plan != "all" or limit != 1000:
+                return series
+            sums = series.sums.copy()
+            sums[15] += 1  # M(16) = -1, at a ladder point
+            return SummatorySeries(kind, limit, series.ns, sums)
+
+        monkeypatch.setattr(verify_mod, "accumulate", nudged)
+        out = tmp_path / "v.csv"
+        code, _ = run_cli("verify", "--limit", "1000", output=out)
+        assert code == 1
+        rows = out.read_text().splitlines()
+        assert rows[2] == '2,exact-identities,FAIL,"ladder_points=40 violations=1"'
+        assert all(",FAIL," not in row for row in rows[1:2] + rows[3:])
 
     def test_csv_header(self, tmp_path):
         out = tmp_path / "v.csv"

@@ -15,8 +15,6 @@ from summatoria.moments import (
     _moment_table,
     lag_covariance,
     moment_scan,
-    pair_product_counts,
-    parity_counts,
     prime_adjacent_joint,
 )
 from summatoria.series import (
@@ -80,57 +78,6 @@ class TestGridSumRatio:
     def test_rejects_n_zero(self):
         with pytest.raises(DomainError):
             moment_scan(FunctionKind.LIOUVILLE, 0)
-
-
-class TestParityCounts:
-    def test_liouville_10(self):
-        t = sieve_values(FunctionKind.LIOUVILLE, 1, 10)
-        pc = parity_counts(t, 10)
-        assert (pc.n_plus, pc.n_minus, pc.n_zero) == (5, 5, 0)
-
-    def test_mobius_8(self):
-        t = sieve_values(FunctionKind.MOBIUS, 1, 8)
-        pc = parity_counts(t, 8)
-        assert (pc.n_plus, pc.n_minus, pc.n_zero) == (2, 4, 2)
-
-    def test_liouville_1(self):
-        t = sieve_values(FunctionKind.LIOUVILLE, 1, 1)
-        pc = parity_counts(t, 1)
-        assert (pc.n_plus, pc.n_minus) == (1, 0)
-
-    def test_table_must_cover_prefix(self):
-        t = sieve_values(FunctionKind.LIOUVILLE, 2, 10)
-        with pytest.raises(DomainError):
-            parity_counts(t, 5)
-        t2 = sieve_values(FunctionKind.LIOUVILLE, 1, 4)
-        with pytest.raises(DomainError):
-            parity_counts(t2, 5)
-
-
-class TestPairProducts:
-    def test_balanced_ten(self):
-        t = sieve_values(FunctionKind.LIOUVILLE, 1, 10)
-        pp = pair_product_counts(parity_counts(t, 10))
-        assert pp == (25, 25, 25, 25)
-        assert pp.n_pp + pp.n_mm == 10**2 / 2  # same-sign half of the grid
-
-    def test_all_plus(self):
-        from summatoria.moments import ParityCounts
-
-        pp = pair_product_counts(ParityCounts(7, 7, 0, 0))
-        assert pp == (49, 0, 0, 0)
-
-    def test_mobius_8(self):
-        t = sieve_values(FunctionKind.MOBIUS, 1, 8)
-        assert pair_product_counts(parity_counts(t, 8)) == (4, 16, 8, 8)
-
-    @given(st.integers(0, 500), st.integers(0, 500), st.integers(0, 500))
-    def test_total_is_square_of_nonzero_count(self, plus, minus, zero):
-        from summatoria.moments import ParityCounts
-
-        pc = ParityCounts(plus + minus + zero, plus, minus, zero)
-        pp = pair_product_counts(pc)
-        assert pp.n_pp + pp.n_mm + pp.n_pm + pp.n_mp == (plus + minus) ** 2
 
 
 class TestCovarianceGap:

@@ -65,7 +65,7 @@ class TestFitExponent:
 
     def test_mertens_ladder_alpha_in_band(self):
         series = accumulate(FunctionKind.MOBIUS, 10**6)
-        samples = [(n, abs(s)) for n, s in series.checkpoints]
+        samples = [(n, abs(s)) for n, s in zip(series.ns.tolist(), series.sums.tolist())]
         fit = fit_exponent(samples)
         assert 0.2 <= fit.alpha <= 0.75
 

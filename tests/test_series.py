@@ -35,15 +35,15 @@ class TestAccumulateExamples:
 
     def test_prime_count_at_10(self):
         s = accumulate(FunctionKind.PRIME_INDICATOR, 10, [10])
-        assert s.checkpoints == [(10, 4)]
+        assert (s.ns.tolist(), s.sums.tolist()) == ([10], [4])
 
     def test_psi_at_10(self):
         s = accumulate(FunctionKind.CHEBYSHEV_PSI_TERM, 10, [10])
-        assert s.final_sum == pytest.approx(math.log(2520), rel=1e-14)
+        assert s.sums[-1] == pytest.approx(math.log(2520), rel=1e-14)
 
     def test_limit_one(self):
         s = accumulate(FunctionKind.MOBIUS, 1)
-        assert s.final_sum == 1
+        assert (s.ns.tolist(), s.sums.tolist()) == ([1], [1])
 
     def test_limit_cap(self):
         with pytest.raises(ResourceError):
@@ -208,15 +208,15 @@ class TestDeviation:
 
     def test_mertens_at_10(self):
         s = accumulate(FunctionKind.MOBIUS, 10, "all")
-        assert s.final_sum == -1
+        assert s.sums[-1] == -1
 
     def test_checkpoints_property(self):
         s = accumulate(FunctionKind.MOBIUS, 10, [4, 10])
-        assert s.checkpoints == [(4, -1), (10, -1)]
-        assert all(type(v) is int for _, v in s.checkpoints)
-        ((n, theta),) = accumulate(FunctionKind.CHEBYSHEV_THETA_TERM, 10, [10]).checkpoints
-        assert n == 10 and type(theta) is float
-        assert theta == pytest.approx(math.log(210), rel=1e-14)
+        assert (s.ns.tolist(), s.sums.tolist()) == ([4, 10], [-1, -1])
+        assert s.ns.dtype == s.sums.dtype == np.int64
+        theta = accumulate(FunctionKind.CHEBYSHEV_THETA_TERM, 10, [10])
+        assert theta.ns.tolist() == [10] and theta.sums.dtype == np.float64
+        assert theta.sums[-1] == pytest.approx(math.log(210), rel=1e-14)
 
 
 class TestSeriesInvariants:
@@ -251,7 +251,8 @@ class TestPrefixAdditivity:
     def test_differences_match_fresh_segments(self, a, b):
         if a > b:
             a, b = b, a
-        at = dict(accumulate(FunctionKind.MOBIUS, 4000, [a, b]).checkpoints)
+        s = accumulate(FunctionKind.MOBIUS, 4000, [a, b])
+        at = dict(zip(s.ns.tolist(), s.sums.tolist()))
         gap = sieve_values(FunctionKind.MOBIUS, a + 1, b).values if a < b else np.array([], dtype=np.int8)
         assert at[b] - at[a] == int(gap.astype(np.int64).sum())
 
@@ -415,9 +416,10 @@ class TestValueAt:
     """S(n) at any n <= limit, read through explicit checkpoints."""
 
     def test_examples(self):
-        assert accumulate(FunctionKind.MOBIUS, 10, [10]).final_sum == -1
-        assert accumulate(FunctionKind.LIOUVILLE, 10, [1]).checkpoints[0] == (1, 1)
-        assert accumulate(FunctionKind.PRIME_INDICATOR, 10, [10]).final_sum == 4
+        assert accumulate(FunctionKind.MOBIUS, 10, [10]).sums[-1] == -1
+        s = accumulate(FunctionKind.LIOUVILLE, 10, [1])
+        assert (s.ns[0], s.sums[0]) == (1, 1)
+        assert accumulate(FunctionKind.PRIME_INDICATOR, 10, [10]).sums[-1] == 4
 
     def test_gap_rescan_matches_dense(self):
         dense = accumulate(FunctionKind.LIOUVILLE, 3000, "all")
@@ -497,7 +499,7 @@ class TestFloatAccuracy:
         limit = 200000
         series = accumulate(FunctionKind.CHEBYSHEV_PSI_TERM, limit, segment_size=1 << 14)
         values = sieve_values(FunctionKind.CHEBYSHEV_PSI_TERM, 1, limit).values
-        for n, s in series.checkpoints[-6:]:
+        for n, s in zip(series.ns[-6:].tolist(), series.sums[-6:].tolist()):
             exact = math.fsum(values[:n])
             assert s == exact, (n, s, exact)
 
