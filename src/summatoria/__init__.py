@@ -5,9 +5,9 @@ the prime indicator, and the two Chebyshev log-terms), accumulates their
 summatory series exactly (64-bit integers for the ±1/0 kinds, correctly
 rounded sums for the Chebyshev log-terms), and measures the moment,
 scaling, and dependence behaviour of the resulting sums. Sieved
-values can be checked against trial division: factor_oracle factors one
-n, trial_division_counts every k in [1, n] at once, and values_from_counts
-maps the FactorCounts of either to the five kinds.
+values can be checked against trial division: trial_division_counts
+factors every k in [1, n] at once, and values_from_counts maps its
+FactorCounts to the five kinds.
 """
 
 from .cache import fnv1a64, load, save
@@ -20,10 +20,8 @@ from .errors import (
 )
 from .kernels import (
     FactorCounts,
-    Factorization,
     FunctionKind,
     ValueTable,
-    factor_oracle,
     primes_upto,
     sieve_values,
     trial_division_counts,
@@ -61,7 +59,6 @@ __all__ = [
     "DomainError",
     "ExponentFit",
     "FactorCounts",
-    "Factorization",
     "FunctionKind",
     "IntegrityError",
     "LagCovariance",
@@ -74,7 +71,6 @@ __all__ = [
     "__version__",
     "accumulate",
     "chebyshev_bound_coverage",
-    "factor_oracle",
     "fit_exponent",
     "fnv1a64",
     "geometric_ladder",

@@ -106,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="mobius | liouville | prime-indicator | psi | theta")
         p.add_argument("--output", "-o", default=None, help="write the report here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--cache-dir", default=os.environ.get(ENV_CACHE_DIR),
-                       help=f"artifact cache directory (default: ${ENV_CACHE_DIR} if set)")
         p.add_argument("--threads", type=parse_threads, default=os.cpu_count() or 1,
                        help="sieve worker threads, at most the CPU count; "
                             "results never depend on this")
@@ -117,12 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=parse_limit, required=True)
     p.add_argument("--binary", action="store_true",
                    help="write the binary cache format instead of csv/json (needs --output)")
+    p.add_argument("--cache-dir", help="ignored: this command uses no cache directory")
     common(p)
 
     p = sub.add_parser("sum", help="summatory series at checkpoints")
     p.add_argument("--limit", type=parse_limit, required=True)
     p.add_argument("--ladder", type=parse_ladder, default="geometric",
                    help="geometric | all | ratio | n1,n2,...")
+    p.add_argument("--cache-dir", default=os.environ.get(ENV_CACHE_DIR),
+                   help=f"series cache directory (default: ${ENV_CACHE_DIR} if set)")
     common(p)
 
     p = sub.add_parser("stats", help="moment statistics at checkpoints")
@@ -139,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--limit", type=parse_limit, default=10**6)
+    p.add_argument("--cache-dir", help="ignored: this command uses no cache directory")
     common(p, kind_required=False)
     return parser
 

@@ -2,7 +2,7 @@
 
 Exact sieved kernels for the Mobius function, the Liouville function, the
 prime indicator, and the two Chebyshev log-terms (the summands of psi and
-theta), plus trial-division oracles used to cross-validate the sieves.
+theta), plus a trial-division oracle used to cross-validate the sieves.
 
 Each kind has its own segment kernel and does only the work it needs, in
 two stages: factor_profile walks the primes p <= sqrt(hi) once, and
@@ -30,17 +30,15 @@ Chebyshev terms are double-precision natural logarithms of exact primes.
 A table sieved over [lo, hi] is identical whether the enclosing range was
 computed in one segment or many.
 
-The oracles share nothing with the sieves. factor_oracle factors one n by
-trial division; trial_division_counts factors every k in [1, n] at once.
-Either way the factorizations become FactorCounts (distinct primes, primes
-with multiplicity, squarefree, least prime), and values_from_counts, the
-one mapping from those counts to the five kinds, gives the values.
+The oracle shares nothing with the sieves. trial_division_counts factors
+every k in [1, n] at once into FactorCounts (distinct primes, primes with
+multiplicity, squarefree, least prime), and values_from_counts, the one
+mapping from those counts to the five kinds, gives the values.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -146,30 +144,6 @@ class ValueTable:
                 raise CorruptionError(f"{kind.label} table has dtype {v.dtype}, expected float64")
             if bool((v < 0).any()) or bool((v > math.log(self.hi) + 1e-12).any()):
                 raise CorruptionError(f"{kind.label} table holds values outside [0, log hi]")
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization of n as (prime, multiplicity) pairs, ascending.
-
-    n = 1 is represented by the empty tuple.
-    """
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    @property
-    def big_omega(self) -> int:
-        """Number of prime factors counted with multiplicity."""
-        return sum(m for _, m in self.factors)
-
-    @property
-    def distinct(self) -> int:
-        return len(self.factors)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(m == 1 for _, m in self.factors)
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -314,40 +288,6 @@ def sieve_values(
     return ValueTable(kind, lo, hi, values_from_profile(kind, lo, hi, profile))
 
 
-def factor_oracle(n: int) -> Factorization:
-    """Trial-division factorization, the slow reference for every kernel.
-
-    Deterministic and entirely independent of the sieves above; intended
-    for n up to about 10**7.
-    """
-    if n == 0:
-        raise DomainError("0 has no prime factorization")
-    if n < 0:
-        raise DomainError(f"expected a positive integer, got {n}")
-    factors: list[tuple[int, int]] = []
-    m = n
-    for p in (2, 3):
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-    d = 5
-    while d * d <= m:
-        for p in (d, d + 2):
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e:
-                factors.append((p, e))
-        d += 6
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors))
-
-
 class FactorCounts(NamedTuple):
     """What the five kinds need to know about the factorization of each n.
 
@@ -360,17 +300,6 @@ class FactorCounts(NamedTuple):
     big_omega: np.ndarray
     squarefree: np.ndarray
     least: np.ndarray
-
-    @classmethod
-    def of(cls, facts: Iterable[Factorization]) -> FactorCounts:
-        """The counts of a batch of scalar factorizations, in the order given."""
-        facts = list(facts)
-        return cls(
-            np.array([f.distinct for f in facts], dtype=np.int8),
-            np.array([f.big_omega for f in facts], dtype=np.int8),
-            np.array([f.is_squarefree for f in facts], dtype=bool),
-            np.array([f.factors[0][0] if f.factors else 0 for f in facts], dtype=np.int64),
-        )
 
 
 def trial_division_counts(n: int) -> FactorCounts:

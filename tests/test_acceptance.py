@@ -11,17 +11,12 @@ import time
 import numpy as np
 
 from summatoria.cli import main
-from summatoria.kernels import (
-    FactorCounts,
-    FunctionKind,
-    factor_oracle,
-    sieve_values,
-    values_from_counts,
-)
+from summatoria.kernels import FunctionKind, sieve_values, values_from_counts
 from summatoria.scaling import normalized_envelope
 from summatoria.series import accumulate
 
 from conftest import ACCEPTANCE_LINES
+from scalar_oracle import counts_of, factor_oracle
 
 ACCEPT_SCALE = 10**6
 LARGE_SCALE = 10**7
@@ -45,7 +40,7 @@ def test_criterion_01_oracle_equivalence(suite_outcome):
     # wall-clock ceiling; floats are compared bitwise
     t0 = time.monotonic()
     n_max = 10**5
-    counts = FactorCounts.of(factor_oracle(n) for n in range(1, n_max + 1))
+    counts = counts_of(factor_oracle(n) for n in range(1, n_max + 1))
     for kind in FunctionKind:
         got = sieve_values(kind, 1, n_max).values
         expect = values_from_counts(kind, counts)

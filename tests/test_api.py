@@ -10,7 +10,6 @@ PUBLIC = [
     "DomainError",
     "ExponentFit",
     "FactorCounts",
-    "Factorization",
     "FunctionKind",
     "IntegrityError",
     "LagCovariance",
@@ -23,7 +22,6 @@ PUBLIC = [
     "__version__",
     "accumulate",
     "chebyshev_bound_coverage",
-    "factor_oracle",
     "fit_exponent",
     "fnv1a64",
     "geometric_ladder",
@@ -43,8 +41,10 @@ PUBLIC = [
 #: S(n) is its own deviation and moment_scan returns every per-n moment as
 #: one table of columns, so these wrappers and per-n helpers and objects stay
 #: out of their home modules. Sign and sign-pair counts are two cumsums in
-#: verify's criterion 2, not package API.
+#: verify's criterion 2, not package API. trial_division_counts is the one
+#: oracle; the scalar one lives in tests/scalar_oracle.py.
 REMOVED = {
+    kernels: ("Factorization", "factor_oracle"),
     series: ("MeanModel", "DeviationSeries", "deviation_series", "value_at"),
     moments: ("sum_of_squares", "covariance_gap", "second_moment_decomposition",
               "grid_sum_ratio", "_report_at", "MomentReport", "SecondMomentDecomposition",
@@ -67,6 +67,7 @@ def test_removed_names_stay_removed():
             assert not hasattr(summatoria, name), name
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(kernels.ValueTable, "value_at")
+    assert not hasattr(kernels.FactorCounts, "of")
     # a series is read through its ns and sums columns
     for name in ("checkpoints", "final_sum"):
         assert not hasattr(series.SummatorySeries, name), name

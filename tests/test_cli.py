@@ -627,7 +627,9 @@ class TestExitCodes:
         (["sum", "--kind", "mobius", "--limit", "1e9", "--ladder", "all"], "above the cap of 100000000"),
         (["sum", "--kind", "mobius", "--limit", "1e9", "--ladder", repr(1 + 2**-52)],
          "above the cap of 100000000"),
-    ], ids=["stats", "sum-all", "sum-all-1e9", "sum-ratio-1e9"])
+        (["stats", "--kind", "mobius", "--limit", "3e7", "--ladder", "all"],
+         "above the cap of 20000000"),
+    ], ids=["stats", "sum-all", "sum-all-1e9", "sum-ratio-1e9", "stats-all-3e7"])
     def test_past_max_limit_exits_three_before_allocating(self, argv, message, monkeypatch, capsys):
         class GuardedNumpy:
             """numpy, except that arange refuses more than 10**8 entries."""
@@ -647,6 +649,16 @@ class TestExitCodes:
         monkeypatch.setattr(series_mod, "_ordered_segments", walk)
         assert main(argv) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["stats", "--kind", "mobius", "--limit", "100"],
+        ["scaling", "--kind", "mobius", "--limit", "100"],
+    ], ids=["stats", "scaling"])
+    def test_cache_dir_is_not_an_option_where_no_cache_is_read(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
 
     @pytest.mark.parametrize("phi", ["pow:x", "const:abc"])
     def test_phi_that_is_not_a_number_exits_two(self, phi, capsys):

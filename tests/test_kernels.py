@@ -13,15 +13,15 @@ from summatoria.errors import CorruptionError, DomainError, ResourceError
 from summatoria.kernels import (
     KIND_BY_LABEL,
     FactorCounts,
-    Factorization,
     FunctionKind,
     ValueTable,
-    factor_oracle,
     primes_upto,
     sieve_values,
     trial_division_counts,
     values_from_counts,
 )
+
+from scalar_oracle import Factorization, counts_of, factor_oracle
 
 ALL_KINDS = list(FunctionKind)
 INT_KINDS = [k for k in ALL_KINDS if k.is_integer_valued]
@@ -34,7 +34,7 @@ def bits(values):
 
 def oracle_values(kind, ks):
     """The scalar oracle's values of one kind at ks, mapped in one batch."""
-    return values_from_counts(kind, FactorCounts.of(factor_oracle(k) for k in ks))
+    return values_from_counts(kind, counts_of(factor_oracle(k) for k in ks))
 
 
 def oracle_value(kind, n):
@@ -47,7 +47,7 @@ def assert_matches_oracle(lo, hi, ks=None, kinds=ALL_KINDS):
     Float kinds are compared bitwise, as int64 views.
     """
     ks = list(range(lo, hi + 1) if ks is None else ks)
-    counts = FactorCounts.of(factor_oracle(k) for k in ks)
+    counts = counts_of(factor_oracle(k) for k in ks)
     at = np.array(ks, dtype=np.int64) - lo
     for kind in kinds:
         got = sieve_values(kind, lo, hi).values[at]
@@ -144,7 +144,7 @@ class TestOracleEquivalence:
 @pytest.fixture(scope="module")
 def scalar_counts():
     """The scalar oracle's counts for every n <= 20000, in one batch."""
-    return FactorCounts.of(factor_oracle(n) for n in range(1, 20001))
+    return counts_of(factor_oracle(n) for n in range(1, 20001))
 
 
 class TestTrialDivisionCounts:
