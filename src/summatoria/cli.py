@@ -145,11 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output) -> None:
+def _emit(pieces, output) -> None:
+    """Write the report text, an iterable of str, to stdout or output as it comes."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
+        with open(output, "w", encoding="utf-8", newline="\n") as f:
+            f.writelines(pieces)
 
 
 def _report_rows(columns, csv: bool, prefixes, sep: str):
@@ -178,14 +180,16 @@ def _report_rows(columns, csv: bool, prefixes, sep: str):
         yield sep.join(map(",".join, zip(*cells)))
 
 
-def _csv(fields, columns, *footer: str) -> str:
-    """A CSV report: the header, one line per row of the columns, then the footer lines."""
-    rows = _report_rows(columns, True, [""] * len(columns), "\n")
-    return "".join([",".join(fields), "\n", *rows, *(f"\n{line}" for line in footer), "\n"])
+def _csv(fields, columns, *footer: str):
+    """The pieces of a CSV report: the header, one line per row of the columns, the footer lines."""
+    yield ",".join(fields) + "\n"
+    yield from _report_rows(columns, True, [""] * len(columns), "\n")
+    yield from (f"\n{line}" for line in footer)
+    yield "\n"
 
 
-def _json(doc: dict, key: str, fields, columns) -> str:
-    """json.dumps(doc, indent=2), its placeholder doc[key] = None replaced by the rows.
+def _json(doc: dict, key: str, fields, columns):
+    """The pieces of json.dumps(doc, indent=2), its placeholder doc[key] = None replaced by the rows.
 
     A row is an object of the fields, or a bare value when fields is None;
     the braces of one object and the next separate the rows.
@@ -193,8 +197,9 @@ def _json(doc: dict, key: str, fields, columns) -> str:
     head, tail = json.dumps(doc, indent=2).split(f'"{key}": null')
     prefixes = [f'\n      "{f}": ' for f in fields] if fields else ["\n    "]
     open_, close = ("\n    {", "\n    }") if fields else ("", "")
-    rows = _report_rows(columns, False, prefixes, f"{close},{open_}")
-    return "".join([head, f'"{key}": [', open_, *rows, close, "\n  ]", tail, "\n"])
+    yield f'{head}"{key}": [{open_}'
+    yield from _report_rows(columns, False, prefixes, f"{close},{open_}")
+    yield f"{close}\n  ]{tail}\n"
 
 
 def _try_cached_series(cache_dir, kind, limit, cps, threads):
@@ -311,16 +316,16 @@ def cmd_scaling(args) -> int:
     }
     if args.format == "csv":
         cells = (fmt12(v) if isinstance(v, float) else v for v in doc.values())
-        _emit("key,value\n" + "".join(map("{},{}\n".format, doc, cells)), args.output)
+        _emit(["key,value\n", *map("{},{}\n".format, doc, cells)], args.output)
     else:
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit([json.dumps(doc, indent=2), "\n"], args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
     outcome = verify_mod.run_suite(limit=args.limit, threads=args.threads, err=sys.stderr)
     render = verify_mod.render_csv if args.format == "csv" else verify_mod.render_json
-    _emit(render(outcome), args.output)
+    _emit([render(outcome)], args.output)
     return 0 if outcome.all_passed else 1
 
 

@@ -6,7 +6,9 @@ theta), plus a trial-division oracle used to cross-validate the sieves.
 
 Each kind has its own segment kernel and does only the work it needs, in
 two stages: factor_profile walks the primes p <= sqrt(hi) once, and
-values_from_profile finishes the values. No step divides.
+values_from_profile finishes the values. No step divides. Once hi >= 49 the
+walk starts at 11: a cached tile of period 44100 = (2*3*5*7)**2, rotated to
+lo, gives what 2, 3, 5, 7 and their squares contribute (a wheel pre-sieve).
 
 Mobius and Liouville keep one uint16 score per entry and no product. At
 each multiple of p (Mobius) or of each prime power p**j (Liouville) the
@@ -38,6 +40,7 @@ mapping from those counts to the five kinds, gives the values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,6 +52,9 @@ from .errors import CorruptionError, DomainError, ResourceError
 
 #: Hard cap on the length of a single sieved interval (entries).
 DEFAULT_MAX_SEGMENT = 1 << 26
+#: The wheel primes, and the period of their tile: p**2 divides it for each.
+_WHEEL_PRIMES = (2, 3, 5, 7)
+_WHEEL = 44100
 
 
 class FunctionKind(Enum):
@@ -167,6 +173,29 @@ def _tail_blocks(lo: int, hi: int):
         j, start = j + 1, stop
 
 
+def _log_weights(primes: np.ndarray) -> np.ndarray:
+    """2*w_p + 1 for each prime p, with w_p = floor(256 * log2 p)."""
+    return 2 * np.floor(256 * np.log2(primes)).astype(np.int64) + 1
+
+
+@functools.cache
+def _wheel_tile(kind: FunctionKind) -> np.ndarray:
+    """The primes <= 7 at k mod _WHEEL, read-only: for mobius and liouville the
+    score of 2, 3, 5, 7 and their squares, else the mask of k coprime to 210."""
+    if kind is not FunctionKind.MOBIUS and kind is not FunctionKind.LIOUVILLE:
+        tile = np.gcd(np.arange(_WHEEL), 210) == 1
+    else:
+        tile = np.zeros(_WHEEL, dtype=np.uint16)
+        for p, w in zip(_WHEEL_PRIMES, _log_weights(np.array(_WHEEL_PRIMES)).tolist()):
+            tile[::p] += w
+            if kind is FunctionKind.LIOUVILLE:
+                tile[:: p * p] += w
+            else:
+                tile[:: p * p] |= 1 << 15
+    tile.setflags(write=False)
+    return tile
+
+
 def factor_profile(lo: int, hi: int, kind: FunctionKind, *, primes) -> tuple[np.ndarray, ...]:
     """Sieve what one kind needs to know about every k in [lo, hi].
 
@@ -179,16 +208,20 @@ def factor_profile(lo: int, hi: int, kind: FunctionKind, *, primes) -> tuple[np.
     - psi: (prime, at, of), the mask plus the offsets from lo of the
       prime powers p**j (j >= 2) in [lo, hi] and their primes.
 
+    From hi = 49 on, the window starts as the wheel tile and the walk at 11.
     The result depends only on (lo, hi, kind), never on any enclosing
     segmentation.
     """
     n = hi - lo + 1
+    ps = primes.tolist()
+    wheel = ps[:4] == [*_WHEEL_PRIMES]  # hi >= 49
+    tile = np.resize(np.roll(_wheel_tile(kind), -(lo % _WHEEL)), n) if wheel else None
     if kind is FunctionKind.MOBIUS or kind is FunctionKind.LIOUVILLE:
         every_power = kind is FunctionKind.LIOUVILLE
-        score = np.zeros(n, dtype=np.uint16)
-        weights = 2 * np.floor(256 * np.log2(primes)).astype(np.int64) + 1  # 2*w_p + 1
-        for p, w in zip(primes.tolist(), weights.tolist()):
-            pk = p
+        score = np.zeros(n, dtype=np.uint16) if tile is None else tile
+        # The first power of each prime still to sieve; the tile holds p and p**2 for p <= 7.
+        first = [p**3 if every_power else hi + 1 for p in ps[:4]] + ps[4:] if wheel else ps
+        for p, w, pk in zip(ps, _log_weights(primes).tolist(), first):
             while pk <= hi:
                 view = score[(-lo) % pk :: pk]
                 if pk > p and not every_power:
@@ -197,15 +230,17 @@ def factor_profile(lo: int, hi: int, kind: FunctionKind, *, primes) -> tuple[np.
                 view += w
                 pk *= p
         return (score,)
-    prime = np.ones(n, dtype=bool)
+    prime = np.ones(n, dtype=bool) if tile is None else tile
+    if wheel:  # the tile crossed off 2, 3, 5 and 7 themselves
+        prime[[p - lo for p in _WHEEL_PRIMES if p >= lo]] = True
     if lo == 1:
         prime[0] = False
-    for p in primes.tolist():
+    for p in ps[4:] if wheel else ps:
         prime[max(p * p, lo + (-lo) % p) - lo :: p] = False
     if kind is not FunctionKind.CHEBYSHEV_PSI_TERM:
         return (prime,)
     at, of = [], []
-    for p in primes.tolist():
+    for p in ps:
         pk = p * p
         while pk <= hi:
             if pk >= lo:

@@ -187,14 +187,12 @@ def moment_scan(
     Raises:
         DomainError: limit < 1, segment_size < 1 or a malformed plan.
         ResourceError: limit > DEFAULT_MAX_LIMIT, a plan of more than
-            MAX_CHECKPOINTS // 5 rows (checked before the walk), or a float
-            kind past the exact-summation limit.
+            MAX_CHECKPOINTS // 5 rows (checked before the walk, and before
+            a generated plan is built), or a float kind past the
+            exact-summation limit.
     """
-    cps = resolve_checkpoints(limit, checkpoint_plan)
     # A table row is 56 bytes and peaks at 80 while it is built, five times
     # a series row, so a table gets the same 1.6 GB budget as a series.
-    if len(cps) > MAX_CHECKPOINTS // 5:
-        raise ResourceError(f"a moment table of {len(cps)} rows is above the cap of "
-                            f"{MAX_CHECKPOINTS // 5}")
+    cps = resolve_checkpoints(limit, checkpoint_plan, max_points=MAX_CHECKPOINTS // 5)
     s, q = _prefix_sums(kind, cps, segment_size=segment_size, threads=threads, squares=True)
     return _moment_table(kind, cps, s, q)

@@ -3,10 +3,10 @@
 accumulate() streams sieve segments over [1, limit] in a single monotone
 pass, recording S(n) at the requested checkpoints; the same walk also gives
 Q(n) = sum of f(k)^2 to moment_scan. Integer-valued kinds are read out of
-each segment exactly: an int64 prefix over blocks of 4096 terms, plus an
-int16 prefix within each block that holds a checkpoint. The Chebyshev
-terms are summed exactly in fixed point and each checkpoint is rounded
-once, so every value is the correctly rounded sum of f(1..n) (what
+each segment exactly: an int64 prefix over int16 sums of blocks of 4096
+terms, plus an int16 prefix within each block that holds a checkpoint.
+The Chebyshev terms are summed exactly in fixed point and each checkpoint
+is rounded once, so every value is the correctly rounded sum of f(1..n) (what
 math.fsum returns) and depends only on (kind, n), for n up to
 _FLOAT_EXACT_LIMIT.
 
@@ -89,13 +89,15 @@ class SummatorySeries:
         return len(self.ns)
 
 
-def geometric_ladder(limit: int, ratio: float | None = None) -> np.ndarray:
+def geometric_ladder(limit: int, ratio: float | None = None, *,
+                     max_points: int | None = None) -> np.ndarray:
     """Checkpoint positions ceil(ratio**j) <= limit, deduplicated, plus limit.
 
     The default ratio sqrt(2) doubles the checkpoint every two steps, which
     spaces samples evenly on a log axis; that default is evaluated in exact
     integer arithmetic as ceil(sqrt(2**j)) so no float drift creeps in.
-    Past MAX_CHECKPOINTS points, ResourceError comes before any allocation.
+    Past max_points points (default MAX_CHECKPOINTS), ResourceError comes
+    before any allocation.
     """
     if limit < 1:
         raise DomainError(f"ladder limit must be >= 1, got {limit}")
@@ -108,9 +110,10 @@ def geometric_ladder(limit: int, ratio: float | None = None) -> np.ndarray:
     # most 1/2, so their ceilings take every integer up to ceil(ratio**j).
     top = 0.5 / (ratio - 1.0)
     count = min(limit, top) + max(0.0, (math.log(limit) - math.log(top)) / math.log(ratio))
-    if count > MAX_CHECKPOINTS:
+    cap = MAX_CHECKPOINTS if max_points is None else max_points
+    if count > cap:
         raise ResourceError(f"a ladder of ratio {ratio!r} up to {limit} has about {count:.3g} "
-                            f"checkpoints, above the cap of {MAX_CHECKPOINTS}")
+                            f"checkpoints, above the cap of {cap}")
     j = max(0, int(math.log(top) / math.log(ratio)))
     while j > 0 and ratio**j > top:
         j -= 1
@@ -135,37 +138,42 @@ def geometric_ladder(limit: int, ratio: float | None = None) -> np.ndarray:
         j = end
 
 
-def resolve_checkpoints(limit: int, plan=None, *, max_limit: int = DEFAULT_MAX_LIMIT) -> np.ndarray:
+def resolve_checkpoints(limit: int, plan=None, *, max_limit: int = DEFAULT_MAX_LIMIT,
+                        max_points: int | None = None) -> np.ndarray:
     """Turn a checkpoint plan into an ascending int64 array ending at limit.
 
     Accepted plans: None or "geometric" (default ladder), "all" (every n),
     a numeric ratio > 1, or an explicit iterable of positions. Explicit
     positions are resolved in numpy: one array with limit appended, sorted,
     checked, cast to int64 and deduplicated. A limit above max_limit, or a
-    generated plan of more than MAX_CHECKPOINTS points, raises ResourceError
-    before any allocation.
+    plan of more than max_points points (default MAX_CHECKPOINTS), raises
+    ResourceError; a generated plan raises it before any allocation.
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if limit > max_limit:
         raise ResourceError(f"limit {limit} exceeds the configured maximum {max_limit}")
+    cap = MAX_CHECKPOINTS if max_points is None else max_points
     if plan is None or (isinstance(plan, str) and plan == "geometric"):
         return geometric_ladder(limit)
     if isinstance(plan, str):
         if plan == "all":
-            if limit > MAX_CHECKPOINTS:
-                raise ResourceError(f"every n is {limit} checkpoints, above the cap of {MAX_CHECKPOINTS}")
+            if limit > cap:
+                raise ResourceError(f"every n is {limit} checkpoints, above the cap of {cap}")
             return np.arange(1, limit + 1, dtype=np.int64)
         raise DomainError(f"unknown checkpoint plan {plan!r}")
     if isinstance(plan, (int, float)) and not isinstance(plan, bool):
-        return geometric_ladder(limit, ratio=float(plan))
+        return geometric_ladder(limit, ratio=float(plan), max_points=cap)
     points = np.sort(np.append(plan, limit) if isinstance(plan, np.ndarray) else np.array([*plan, limit]))
     if points[0] < 1:
         raise DomainError("explicit checkpoints must be positive integers")
     if points[-1] > limit:
         raise DomainError(f"checkpoint {points[-1]} exceeds limit {limit}")
     points = points.astype(np.int64, copy=False)
-    return points[np.concatenate(([True], points[1:] != points[:-1]))]
+    points = points[np.concatenate(([True], points[1:] != points[:-1]))]
+    if len(points) > cap:
+        raise ResourceError(f"a plan of {len(points)} checkpoints is above the cap of {cap}")
+    return points
 
 
 def _ordered_segments(kind: FunctionKind, stop: int, segment_size: int, threads: int):
@@ -205,7 +213,8 @@ def _block_prefix(terms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, in
     """int64 sums of terms[:c] for each c in counts (maybe none), and the sum of all terms.
 
     counts must be nondecreasing and at most len(terms), and |terms| <= 7,
-    so that a prefix within one block of _BLOCK terms is exact in int16.
+    so that a block sum and a prefix within one block of _BLOCK terms are
+    exact in int16.
     S(c) is the int64 prefix P over whole blocks before c plus the in-block
     prefix of the block c falls in; only blocks that hold a count get one.
     """
@@ -213,7 +222,7 @@ def _block_prefix(terms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, in
     full = terms[: nb << _BLOCK_BITS].reshape(nb, _BLOCK)
     tail = terms[nb << _BLOCK_BITS :]
     prefix = np.zeros(nb + 2, dtype=np.int64)
-    full.sum(1, dtype=np.int64, out=prefix[1:-1])
+    full.sum(1, dtype=np.int16, out=prefix[1:-1])  # |block sum| <= 7 * _BLOCK < 2**15
     prefix[-1] = tail.sum(dtype=np.int64)
     np.cumsum(prefix, out=prefix)
     block = counts >> _BLOCK_BITS

@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import time
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -363,6 +364,22 @@ class TestStatsCommand:
         assert lines[-2].startswith("67108870,")
         assert lines[-1].startswith("# prime_adjacent joint=0 product=0.00")
 
+    def test_every_n_report_streams_to_the_output(self, tmp_path):
+        # The 74 MB report is written as its rows are formatted; joined whole
+        # before the write, it took the traced peak to 204 MB.
+        out = tmp_path / "m.csv"
+        assert run_cli("stats", "--kind", "mobius", "--limit", "1000", "--ladder", "all", output=out)[0] == 0
+        tracemalloc.start()
+        try:
+            code, _ = run_cli("stats", "--kind", "mobius", "--limit", "1e6", "--ladder", "all", output=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 120 * 10**6
+        with out.open("rb") as f:
+            f.seek(-200, 2)
+            assert f.read().split(b"\n")[-2].startswith(b"1000000,")
+
 
 class TestScalingCommand:
     def test_json_matches_schema(self, tmp_path):
@@ -492,7 +509,7 @@ class TestJsonMatchesReference:
         for fields, columns in ((("i", "f"), (ints, floats)), (("f",), (floats,)),
                                 (("i",), (ints[:1],)), (None, (ints,)), (None, (floats[~np.isnan(floats)],))):
             want = reference_json(doc, "rows", fields, columns)
-            assert cli_mod._json(doc, "rows", fields, columns) == want
+            assert "".join(cli_mod._json(doc, "rows", fields, columns)) == want
 
 
 class TestVerifyCommand:
@@ -621,25 +638,28 @@ class TestExitCodes:
         assert main(["sum", "--kind", "mobius", "--limit", "2e9"]) == 3
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, message", [
-        (["stats", "--kind", "mobius", "--limit", "2e9"], "exceeds the configured maximum"),
-        (["sum", "--kind", "mobius", "--limit", "2e9", "--ladder", "all"], "exceeds the configured maximum"),
-        (["sum", "--kind", "mobius", "--limit", "1e9", "--ladder", "all"], "above the cap of 100000000"),
+    @pytest.mark.parametrize("argv, message, guard", [
+        (["stats", "--kind", "mobius", "--limit", "2e9"], "exceeds the configured maximum", 10**8),
+        (["sum", "--kind", "mobius", "--limit", "2e9", "--ladder", "all"], "exceeds the configured maximum",
+         10**8),
+        (["sum", "--kind", "mobius", "--limit", "1e9", "--ladder", "all"], "above the cap of 100000000", 10**8),
         (["sum", "--kind", "mobius", "--limit", "1e9", "--ladder", repr(1 + 2**-52)],
-         "above the cap of 100000000"),
+         "above the cap of 100000000", 10**8),
         (["stats", "--kind", "mobius", "--limit", "3e7", "--ladder", "all"],
-         "above the cap of 20000000"),
-    ], ids=["stats", "sum-all", "sum-all-1e9", "sum-ratio-1e9", "stats-all-3e7"])
-    def test_past_max_limit_exits_three_before_allocating(self, argv, message, monkeypatch, capsys):
+         "above the cap of 20000000", 10**8),
+        (["stats", "--kind", "mobius", "--limit", "1e8", "--ladder", "all"],
+         "above the cap of 20000000", 2 * 10**7),
+    ], ids=["stats", "sum-all", "sum-all-1e9", "sum-ratio-1e9", "stats-all-3e7", "stats-all-1e8"])
+    def test_past_max_limit_exits_three_before_allocating(self, argv, message, guard, monkeypatch, capsys):
         class GuardedNumpy:
-            """numpy, except that arange refuses more than 10**8 entries."""
+            """numpy, except that arange refuses more than guard entries."""
 
             def __getattr__(self, name):
                 return getattr(np, name)
 
             @staticmethod
             def arange(*args, **kwargs):
-                assert len(range(*args)) <= 10**8, "unguarded arange"
+                assert len(range(*args)) <= guard, "unguarded arange"
                 return np.arange(*args, **kwargs)
 
         def walk(*args, **kwargs):

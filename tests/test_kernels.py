@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import tracemalloc
@@ -5,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from summatoria import kernels
@@ -21,6 +22,7 @@ from summatoria.kernels import (
     values_from_counts,
 )
 
+from plain_profile import plain_profile
 from scalar_oracle import Factorization, counts_of, factor_oracle
 
 ALL_KINDS = list(FunctionKind)
@@ -300,6 +302,68 @@ class TestWindowEdges:
         windows += [(first, first + 3 * p), (first + 1, first + 3 * p - 1)]
         for lo, hi in windows:
             assert_matches_oracle(lo, hi)
+
+
+def assert_plain_profile(lo, hi, kinds=ALL_KINDS, primes=None):
+    """factor_profile over [lo, hi] equals plain_profile, array for array, for each kind.
+
+    primes, if given, holds at least the primes <= sqrt(hi); the window gets those.
+    """
+    primes = kernels.base_primes(hi) if primes is None else primes
+    primes = primes[: int(np.searchsorted(primes, math.isqrt(hi), side="right"))]
+    for kind in kinds:
+        got = kernels.factor_profile(lo, hi, kind, primes=primes)
+        want = plain_profile(lo, hi, kind, primes=primes)
+        assert len(got) == len(want), kind.label
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (kind.label, lo, hi)
+
+
+@functools.cache
+def primes_to_root_1e13():
+    return primes_upto(math.isqrt(2 * 10**13))
+
+
+class TestWheel:
+    """The wheel tile of 2, 3, 5, 7 gives the profile of the plain strided loop."""
+
+    @pytest.mark.parametrize("period", [210, 44100])
+    @pytest.mark.parametrize("j", [1, 2, 3, 211, 10**5])
+    def test_around_multiples_of_the_periods(self, period, j):
+        e = j * period
+        for edge in (e - 1, e, e + 1):
+            for width in (1, 2, 211, period + 1):
+                assert_plain_profile(edge, edge + width - 1)
+            assert_plain_profile(max(1, edge - 210), edge)
+
+    def test_long_window_across_many_periods(self):
+        assert_plain_profile(10**9 - 44100 * 3 - 1, 10**9 + 44100 * 2)
+
+    @pytest.mark.parametrize("hi", [48, 49, 50])
+    def test_every_window_where_the_wheel_switches_on(self, hi):
+        for lo in range(1, hi + 1):
+            assert_plain_profile(lo, hi)
+
+    @pytest.mark.parametrize("hi", [49, 50, 120, 210, 211, 44100, 44101, 10**5])
+    def test_wheel_primes_inside_the_window(self, hi):
+        for lo in range(1, 9):
+            assert_plain_profile(lo, hi)
+
+    @given(st.integers(1, 10**13), st.integers(1, 50000), st.sampled_from(ALL_KINDS))
+    @example(10**13 - 22050, 44107, FunctionKind.MOBIUS)
+    @example(10**13 - 44101, 44103, FunctionKind.LIOUVILLE)
+    @example(10**13 + 1, 211, FunctionKind.PRIME_INDICATOR)
+    @example(10**13 - 209, 44101, FunctionKind.CHEBYSHEV_PSI_TERM)
+    @example(10**13 - 1, 2, FunctionKind.CHEBYSHEV_THETA_TERM)
+    @settings(max_examples=12, deadline=None)
+    def test_windows_up_to_1e13(self, lo, width, kind):
+        assert_plain_profile(lo, lo + width - 1, kinds=[kind], primes=primes_to_root_1e13())
+
+    def test_tiles_are_read_only_and_shared(self):
+        for kind in ALL_KINDS:
+            tile = kernels._wheel_tile(kind)
+            assert not tile.flags.writeable and tile is kernels._wheel_tile(kind)
+            assert len(tile) % (2 * 3 * 5 * 7) ** 2 == 0
 
 
 class TestSegmentIndependence:

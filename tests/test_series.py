@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -305,6 +306,17 @@ class TestIntegerReadout:
         counts = np.array(counts, dtype=np.int64)
         assert read_out(terms, counts) == (cum[counts].tolist(), cum[-1])
         assert read_out(terms, np.array([], dtype=np.int64)) == ([], cum[-1])
+
+    @pytest.mark.parametrize("term", [7, -7])
+    def test_block_sums_at_the_int16_edge(self, term):
+        # A whole block of +-7 sums to +-28,672, the most an int16 block sum holds;
+        # the int64 prefix over three of them and a partial tail does not fit int16.
+        terms = np.full(3 * B + 100, term, dtype=np.int8)
+        counts = [0, 1, B - 1, B, B + 1, 2 * B, 3 * B - 1, 3 * B, 3 * B + 1, 3 * B + 100]
+        want = [0, *itertools.accumulate(terms.tolist())]
+        sums, total = series_mod._block_prefix(terms, np.array(counts, dtype=np.int64))
+        assert sums.dtype == np.int64
+        assert sums.tolist() == [want[c] for c in counts] and total == want[-1] == term * len(terms)
 
     @pytest.mark.parametrize("plan", ["geometric", "all"])
     def test_one_full_segment(self, plan):
