@@ -7,8 +7,8 @@ theta), plus a trial-division oracle used to cross-validate the sieves.
 Each kind has its own segment kernel and does only the work it needs, in
 two stages: factor_profile walks the primes p <= sqrt(hi) once, and
 values_from_profile finishes the values. No step divides. Once hi >= 49 the
-walk starts at 11: a cached tile of period 44100 = (2*3*5*7)**2, rotated to
-lo, gives what 2, 3, 5, 7 and their squares contribute (a wheel pre-sieve).
+walk starts at 11: a cached tile of period 44100 = (2*3*5*7)**2, read from
+lo mod 44100, gives what 2, 3, 5, 7 and their squares add (a wheel pre-sieve).
 
 Mobius and Liouville keep one uint16 score per entry and no product. At
 each multiple of p (Mobius) or of each prime power p**j (Liouville) the
@@ -180,12 +180,12 @@ def _log_weights(primes: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _wheel_tile(kind: FunctionKind) -> np.ndarray:
-    """The primes <= 7 at k mod _WHEEL, read-only: for mobius and liouville the
-    score of 2, 3, 5, 7 and their squares, else the mask of k coprime to 210."""
+    """The primes <= 7 at k = 0 .. 2*_WHEEL - 1, read-only: for mobius and liouville
+    the score of 2, 3, 5, 7 and their squares, else the mask of k coprime to 210."""
     if kind is not FunctionKind.MOBIUS and kind is not FunctionKind.LIOUVILLE:
-        tile = np.gcd(np.arange(_WHEEL), 210) == 1
+        tile = np.gcd(np.arange(2 * _WHEEL), 210) == 1
     else:
-        tile = np.zeros(_WHEEL, dtype=np.uint16)
+        tile = np.zeros(2 * _WHEEL, dtype=np.uint16)
         for p, w in zip(_WHEEL_PRIMES, _log_weights(np.array(_WHEEL_PRIMES)).tolist()):
             tile[::p] += w
             if kind is FunctionKind.LIOUVILLE:
@@ -215,7 +215,7 @@ def factor_profile(lo: int, hi: int, kind: FunctionKind, *, primes) -> tuple[np.
     n = hi - lo + 1
     ps = primes.tolist()
     wheel = ps[:4] == [*_WHEEL_PRIMES]  # hi >= 49
-    tile = np.resize(np.roll(_wheel_tile(kind), -(lo % _WHEEL)), n) if wheel else None
+    tile = np.resize(_wheel_tile(kind)[lo % _WHEEL :][: min(n, _WHEEL)], n) if wheel else None
     if kind is FunctionKind.MOBIUS or kind is FunctionKind.LIOUVILLE:
         every_power = kind is FunctionKind.LIOUVILLE
         score = np.zeros(n, dtype=np.uint16) if tile is None else tile
