@@ -37,6 +37,8 @@ from .verify import fmt12
 DENSE_SCAN_LIMIT = 10**6
 #: Rows of a report converted to Python scalars at a time.
 _ROWS_PER_STEP = 1 << 12
+#: Rows of an all-integer report rendered as one character matrix at a time.
+_INT_ROWS_PER_STEP = 1 << 16
 #: The columns of a stats report, one per MomentTable column.
 _STATS_FIELDS = MomentTable._fields[1:]
 
@@ -154,14 +156,70 @@ def _emit(pieces, output) -> None:
             f.writelines(pieces)
 
 
+def _digits(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The characters of str(v) for each v of a signed int column, and which of them to keep.
+
+    Row i is a sign column then W digit columns, W the width of the largest
+    |v|, right-aligned: a digit is kept while the value left of it is > 0,
+    and the last digit always.
+    """
+    neg = col < 0
+    rest = col.astype(np.int64)
+    np.negative(rest, out=rest, where=neg)
+    rest = rest.view(np.uint64)  # |v|; -2**63 negates to itself, which is 2**63 here
+    top = int(rest.max(initial=0))
+    if top < 2**31:
+        rest = rest.astype(np.int32)
+    width = len(str(top))
+    chars = np.empty((len(col), width + 1), dtype=np.uint8)
+    keep = np.empty(chars.shape, dtype=bool)
+    chars[:, 0] = ord("-")
+    keep[:, 0] = neg
+    for d in range(width, 0, -1):
+        np.greater(rest, 0, out=keep[:, d])
+        rest, digit = np.divmod(rest, 10)
+        np.add(digit, ord("0"), out=chars[:, d], casting="unsafe")
+    keep[:, width] = True
+    return chars, keep
+
+
+def _constant(text: str, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """text as m rows of characters, all kept."""
+    chars = np.frombuffer(text.encode(), dtype=np.uint8)
+    return np.broadcast_to(chars, (m, len(chars))), np.ones((m, len(chars)), dtype=bool)
+
+
+def _int_rows(columns, prefixes, sep: str):
+    """_report_rows for signed int columns, as one uint8 character matrix per step.
+
+    The prefixes, the "," between cells and sep after each row are constant
+    columns beside the digits of each column; the kept characters, in row
+    order, are the step's text with its last sep cut off.
+    """
+    for i in range(0, len(columns[0]), _INT_ROWS_PER_STEP):
+        m = min(_INT_ROWS_PER_STEP, len(columns[0]) - i)
+        parts = []
+        for j, (prefix, col) in enumerate(zip(prefixes, columns)):
+            parts += [_constant(("," if j else "") + prefix, m), _digits(col[i : i + m])]
+        mats, keeps = zip(*parts, _constant(sep, m))
+        text = np.hstack(mats)[np.hstack(keeps)].tobytes().decode()
+        if i:
+            yield sep
+        yield text[: len(text) - len(sep)]
+
+
 def _report_rows(columns, csv: bool, prefixes, sep: str):
     """Text of the rows of equal-length columns, _ROWS_PER_STEP rows per step; concatenate them.
 
     A row joins its cells, each after its column's prefix, with ","; rows
     are joined by sep. Ints print with str, floats as fmt12 in CSV and as
     repr in JSON (as json.dumps), a NaN as "" or null. A step at a time
-    keeps no Python object per row of the whole report.
+    keeps no Python object per row of the whole report. A report of signed
+    int columns only is rendered in numpy by _int_rows instead.
     """
+    if all(col.dtype.kind == "i" for col in columns):
+        yield from _int_rows(columns, prefixes, sep)
+        return
     for i in range(0, len(columns[0]), _ROWS_PER_STEP):
         cells = []
         for prefix, col in zip(prefixes, columns):

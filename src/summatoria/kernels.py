@@ -25,7 +25,10 @@ s <= 256 * (log2 k - 1) < 64*j - 192 and c <= 51. So score - 2*t_j is at
 least 126 for the first and at most -105 for the second, room enough for a
 w_p one off from float log2 in every prime factor. The prime indicator is
 a segmented Eratosthenes mask, theta puts log k at its primes, and psi also
-puts log p at the prime powers.
+puts log p at the prime powers. chebyshev_terms gives those nonzero terms
+in order, as offsets from lo and their logs: sieve_terms hands them to the
+segment walk, which needs no table, and values_from_profile scatters the
+same terms into the float table of sieve_values.
 
 All integer-valued kernels are computed with exact integer arithmetic; the
 Chebyshev terms are double-precision natural logarithms of exact primes.
@@ -250,12 +253,30 @@ def factor_profile(lo: int, hi: int, kind: FunctionKind, *, primes) -> tuple[np.
     return prime, np.array(at, dtype=np.int64), np.array(of, dtype=np.int64)
 
 
+def chebyshev_terms(kind: FunctionKind, lo: int, profile: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero terms of a psi or theta profile: ascending offsets from lo, and their values.
+
+    log k at each prime k, the flatnonzero of the mask; psi merges in log p
+    at each prime power p**j, sorted and placed by searchsorted.
+    """
+    at = np.flatnonzero(profile[0])
+    logs = np.log((at + lo).astype(np.float64))
+    if kind is FunctionKind.CHEBYSHEV_PSI_TERM:
+        _, powers, of = profile
+        order = np.argsort(powers)
+        where = np.searchsorted(at, powers[order])
+        at = np.insert(at, where, powers[order])
+        logs = np.insert(logs, where, np.log(of[order].astype(np.float64)))
+    return at, logs
+
+
 def values_from_profile(kind: FunctionKind, lo: int, hi: int, profile: tuple) -> np.ndarray:
     """Finish one kind's values from its sieved profile.
 
     The mobius and liouville sign is the score's parity, flipped where the
     score is below 2*t_j; mobius is 0 where bit 15 is set. The Chebyshev
-    terms are log k at the primes, and psi adds log p at the prime powers.
+    table scatters the terms of chebyshev_terms into zeros, so it holds
+    exactly what a segment walk sums.
     """
     if kind is FunctionKind.MOBIUS or kind is FunctionKind.LIOUVILLE:
         (score,) = profile
@@ -273,11 +294,8 @@ def values_from_profile(kind: FunctionKind, lo: int, hi: int, profile: tuple) ->
     if kind not in (FunctionKind.CHEBYSHEV_PSI_TERM, FunctionKind.CHEBYSHEV_THETA_TERM):
         raise DomainError(f"unknown function kind {kind!r}")
     out = np.zeros(hi - lo + 1, dtype=np.float64)
-    idx = np.flatnonzero(profile[0])
-    out[idx] = np.log((idx + lo).astype(np.float64))
-    if kind is FunctionKind.CHEBYSHEV_PSI_TERM:
-        _, at, of = profile
-        out[at] = np.log(of.astype(np.float64))
+    at, logs = chebyshev_terms(kind, lo, profile)
+    out[at] = logs
     return out
 
 
@@ -288,6 +306,21 @@ def base_primes(hi: int) -> np.ndarray:
         raise ResourceError(f"sieving up to {hi} needs the primes up to {root}, "
                             f"above the cap of {DEFAULT_MAX_SEGMENT}")
     return primes_upto(root)
+
+
+def _sieved_profile(kind: FunctionKind, lo: int, hi: int, primes: np.ndarray | None) -> tuple:
+    """factor_profile over [lo, hi] once the interval is checked; see sieve_values."""
+    if lo < 1:
+        raise DomainError(f"sieve lower bound must be >= 1, got {lo}")
+    if hi < lo:
+        raise DomainError(f"sieve interval is empty: [{lo}, {hi}]")
+    if hi - lo + 1 > DEFAULT_MAX_SEGMENT:
+        raise ResourceError(
+            f"interval [{lo}, {hi}] has {hi - lo + 1} entries, above the cap of {DEFAULT_MAX_SEGMENT}"
+        )
+    if primes is None:
+        primes = base_primes(hi)
+    return factor_profile(lo, hi, kind, primes=primes)
 
 
 def sieve_values(
@@ -309,18 +342,18 @@ def sieve_values(
         ResourceError: interval longer than DEFAULT_MAX_SEGMENT, or sqrt(hi)
             above it (the base-prime sieve would need that many entries).
     """
-    if lo < 1:
-        raise DomainError(f"sieve lower bound must be >= 1, got {lo}")
-    if hi < lo:
-        raise DomainError(f"sieve interval is empty: [{lo}, {hi}]")
-    if hi - lo + 1 > DEFAULT_MAX_SEGMENT:
-        raise ResourceError(
-            f"interval [{lo}, {hi}] has {hi - lo + 1} entries, above the cap of {DEFAULT_MAX_SEGMENT}"
-        )
-    if primes is None:
-        primes = base_primes(hi)
-    profile = factor_profile(lo, hi, kind, primes=primes)
+    profile = _sieved_profile(kind, lo, hi, primes)
     return ValueTable(kind, lo, hi, values_from_profile(kind, lo, hi, profile))
+
+
+def sieve_terms(
+    kind: FunctionKind, lo: int, hi: int, *, primes: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero psi or theta terms over [lo, hi], as chebyshev_terms gives them.
+
+    Sieves as sieve_values does, with the same checks, but builds no table.
+    """
+    return chebyshev_terms(kind, lo, _sieved_profile(kind, lo, hi, primes))
 
 
 class FactorCounts(NamedTuple):

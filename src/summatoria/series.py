@@ -5,10 +5,11 @@ pass, recording S(n) at the requested checkpoints; the same walk also gives
 Q(n) = sum of f(k)^2 to moment_scan. Integer-valued kinds are read out of
 each segment exactly: an int64 prefix over int16 sums of blocks of 4096
 terms, plus an int16 prefix within each block that holds a checkpoint.
-The Chebyshev terms are summed exactly in fixed point and each checkpoint
-is rounded once, so every value is the correctly rounded sum of f(1..n) (what
-math.fsum returns) and depends only on (kind, n), for n up to
-_FLOAT_EXACT_LIMIT.
+The Chebyshev kinds are walked as their nonzero terms, which the sieve
+gives as offsets and logs with no table; they are summed exactly in fixed
+point and each checkpoint is rounded once, so every value is the correctly
+rounded sum of f(1..n) (what math.fsum returns) and depends only on
+(kind, n), for n up to _FLOAT_EXACT_LIMIT.
 
 A segment holding at least as many checkpoints as terms (every n, say)
 is read out once at every prefix and then gathered at the checkpoints:
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .kernels import FunctionKind, base_primes, sieve_values
+from .kernels import FunctionKind, base_primes, sieve_terms, sieve_values
 
 #: Default sieve segment length for streaming accumulation.
 DEFAULT_SEGMENT = 1 << 22
@@ -179,14 +180,18 @@ def resolve_checkpoints(limit: int, plan=None, *, max_limit: int = DEFAULT_MAX_L
 def _ordered_segments(kind: FunctionKind, stop: int, segment_size: int, threads: int):
     """Yield (lo, hi, values) per segment of [1, stop] in order, sieving ahead.
 
-    The base primes are sieved once per walk, and each segment gets those up
-    to sqrt(hi), so its table is still the one sieve_values(kind, lo, hi) gives.
+    values is the int8 table of an integer kind and the nonzero terms
+    (offsets, logs) of a Chebyshev kind, as sieve_values and sieve_terms
+    give them over [lo, hi]. The base primes are sieved once per walk, and
+    each segment gets those up to sqrt(hi).
     """
     primes = base_primes(stop)
 
     def sieve(lo: int, hi: int):
         own = primes[: int(np.searchsorted(primes, math.isqrt(hi), side="right"))]
-        return lo, hi, sieve_values(kind, lo, hi, primes=own).values
+        if kind.is_integer_valued:
+            return lo, hi, sieve_values(kind, lo, hi, primes=own).values
+        return lo, hi, sieve_terms(kind, lo, hi, primes=own)
 
     bounds = ((a, min(a + segment_size - 1, stop)) for a in range(1, stop + 1, segment_size))
     if threads <= 1 or stop <= segment_size:  # one segment overlaps nothing
@@ -310,7 +315,9 @@ def _prefix_sums(
 
     The one segment walk of the package. Float kinds are reduced over their
     nonzero terms log p, which lie on the 2**-53 grid, their squares on the
-    2**-54 grid.
+    2**-54 grid; the count of terms at or before each checkpoint comes from
+    the term offsets, by an int32 cumsum of a bool mark of them when the
+    segment reads out every prefix and by searchsorted otherwise.
 
     Raises:
         DomainError: segment_size < 1.
@@ -335,12 +342,13 @@ def _prefix_sums(
         if integer:
             terms, counts = values, at - (seg_lo - 1)
         else:
-            nz = np.flatnonzero(values)
-            terms = values[nz]
-            if len(at) >= len(nz):  # dense: _ExactRun reads out every prefix
-                counts = np.cumsum(values != 0, dtype=np.int32)[at - seg_lo]
+            offsets, terms = values
+            if len(at) >= len(terms):  # dense: _ExactRun reads out every prefix
+                mark = np.zeros(seg_hi - seg_lo + 1, dtype=bool)
+                mark[offsets] = True
+                counts = np.cumsum(mark, dtype=np.int32)[at - seg_lo]
             else:
-                counts = np.searchsorted(nz + seg_lo, at, side="right")
+                counts = np.searchsorted(offsets, at - seg_lo, side="right")
         s[pos:end] = s_run.add(terms, counts)
         if squares:
             q[pos:end] = q_run.add(terms * terms, counts)

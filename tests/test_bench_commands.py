@@ -49,3 +49,20 @@ def test_traced_verify_times_the_oracle_it_runs(bench, capsys):
     assert len(oracle) == 1
     assert oracle[0].binding == "verify.factor_oracle"
     assert summatoria.verify.factor_oracle is kernels.trial_division_counts
+
+
+@pytest.mark.parametrize("workload", ["sieve-sweep", "float-reduce", "cache-io"])
+def test_seed_0_reports_pass_the_benchmark_checks(bench, workload, tmp_path, capsys):
+    # The benchmark refuses a run whose report fails check_report or differs
+    # from reference.json.gz; this runs the same checks on the same commands.
+    run, _ = bench
+    workloads = run.workloads
+    reference = workloads.load_reference()
+    extra = run.command_options(workload, tmp_path)
+    for _ in range(2 if workload == "cache-io" else 1):  # cache-io: a cold pass, then a warm one
+        for argv in workloads.commands(workload, workloads.DEFAULT_SEED):
+            assert cli.main(argv + extra) == 0, argv
+            out = capsys.readouterr().out
+            k = workloads.key(argv)
+            assert workloads.check_report(argv, out) is None, k
+            assert workloads.compare_with_reference(out, reference[k]) is None, k

@@ -9,6 +9,8 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from summatoria import cli as cli_mod
 from summatoria import series as series_mod
@@ -510,6 +512,39 @@ class TestJsonMatchesReference:
                                 (("i",), (ints[:1],)), (None, (ints,)), (None, (floats[~np.isnan(floats)],))):
             want = reference_json(doc, "rows", fields, columns)
             assert "".join(cli_mod._json(doc, "rows", fields, columns)) == want
+
+
+INT64 = 2**63 - 1
+#: Zero, short and int32-sized values and values of up to 19 digits, of either sign.
+report_ints = st.one_of(st.integers(-9, 9), st.integers(-(2**31), 2**31 - 1), st.integers(-INT64, INT64))
+
+
+class TestIntegerRows:
+    """Reports of int columns only are rendered in numpy, cell for cell as str prints them."""
+
+    @given(st.lists(st.tuples(report_ints, report_ints, st.integers(-128, 127)), min_size=1, max_size=40),
+           st.sampled_from([("", "", ""), ('\n      "n": ', '\n      "S": ', '\n      "q": ')]),
+           st.sampled_from(["\n", "\n    },\n    {", ","]),
+           st.integers(1, 50))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_str(self, rows, prefixes, sep, step):
+        a, b, c = zip(*rows)
+        columns = (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), np.array(c, dtype=np.int8))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli_mod, "_INT_ROWS_PER_STEP", step)
+            for k, csv in ((1, True), (3, False)):
+                want = sep.join(",".join(p + str(v) for p, v in zip(prefixes, row[:k])) for row in rows)
+                assert "".join(cli_mod._report_rows(columns[:k], csv, prefixes[:k], sep)) == want
+
+    def test_extremes_and_a_float_column(self):
+        ints = np.array([0, -1, 1, 9, -10, 2**31 - 1, -(2**31), INT64, -INT64, -(2**63)], dtype=np.int64)
+        for top in (9, 2**31 - 1, 2**31, INT64):  # the largest |v| of a column picks int32 or uint64
+            col = np.array([0, -1, top, -top, top // 10], dtype=np.int64)
+            assert "".join(cli_mod._report_rows((col,), True, [""], "\n")) == "\n".join(map(str, col.tolist()))
+        assert "".join(cli_mod._report_rows((ints,), True, [""], "\n")) == "\n".join(map(str, ints.tolist()))
+        mixed = (ints, ints.astype(np.float64))
+        text = "".join(cli_mod._report_rows(mixed, True, ["", ""], "\n"))
+        assert text.splitlines()[-1] == f"{-(2**63)},{fmt12(-(2.0**63))}"
 
 
 class TestVerifyCommand:

@@ -377,6 +377,41 @@ class TestSegmentIndependence:
             assert np.array_equal(whole, np.concatenate([left, right]))
 
 
+PSI, THETA = FunctionKind.CHEBYSHEV_PSI_TERM, FunctionKind.CHEBYSHEV_THETA_TERM
+
+
+class TestChebyshevTerms:
+    """sieve_terms gives the nonzero table entries in order: what the segment walk sums."""
+
+    @given(st.integers(1, 10**13), st.integers(1, 5000), st.sampled_from([PSI, THETA]))
+    @example(1, 1, PSI)
+    @example(1, 3000, PSI)
+    @example(1, 48, THETA)  # hi < 49: no wheel
+    @example(5, 44, PSI)
+    @example(114, 13, THETA)  # [114, 126] holds no term
+    @example(121, 1, PSI)  # its only term is the prime power 11**2
+    @example(10**9 - 2000, 4096, PSI)
+    @example(10**9 - 2000, 4096, THETA)
+    @example(10**12 - 2000, 4096, PSI)
+    @example(10**12 - 2000, 4096, THETA)
+    @settings(max_examples=25, deadline=None)
+    def test_terms_are_the_nonzero_entries_of_the_table(self, lo, width, kind):
+        hi = lo + width - 1
+        shared = primes_to_root_1e13()
+        primes = shared[: int(np.searchsorted(shared, math.isqrt(hi), side="right"))]
+        at, logs = kernels.sieve_terms(kind, lo, hi, primes=primes)
+        values = sieve_values(kind, lo, hi, primes=primes).values
+        nz = np.flatnonzero(values)
+        assert at.dtype == nz.dtype and np.array_equal(at, nz)
+        assert logs.dtype == np.float64 and np.array_equal(bits(logs), bits(values[nz]))
+
+    def test_windows_with_no_term_or_a_prime_power_only(self):
+        at, logs = kernels.sieve_terms(THETA, 114, 126)
+        assert at.size == logs.size == 0
+        at, logs = kernels.sieve_terms(PSI, 121, 121)
+        assert at.tolist() == [0] and logs.tolist() == [math.log(11)]
+
+
 class TestValueRanges:
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
     def test_full_scan_validates(self, kind):
