@@ -12,6 +12,7 @@ time-dependent in the report stream (timings go to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,9 +29,16 @@ from .scaling import (
     SlowGrowthSpec,
     chebyshev_bound_coverage,
     fit_exponent,
+    ladder_samples,
     normalized_envelope,
 )
-from .series import SummatorySeries, accumulate, geometric_ladder, resolve_checkpoints
+from .series import (
+    SummatorySeries,
+    accumulate,
+    change_points,
+    geometric_ladder,
+    resolve_checkpoints,
+)
 from .verify import fmt12
 
 #: Above this limit, scaling reports switch from all-n to ladder checkpoints.
@@ -39,6 +47,9 @@ DENSE_SCAN_LIMIT = 10**6
 _ROWS_PER_STEP = 1 << 12
 #: Rows of an all-integer report rendered as one character matrix at a time.
 _INT_ROWS_PER_STEP = 1 << 16
+#: Fewest rows for which the character matrix beats the str join: its fixed
+#: cost of about 45 us breaks even near 300 rows in JSON and 400 in CSV.
+_INT_ROWS_MIN = 400
 #: The columns of a stats report, one per MomentTable column.
 _STATS_FIELDS = MomentTable._fields[1:]
 
@@ -124,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=parse_limit, required=True)
     p.add_argument("--ladder", type=parse_ladder, default="geometric",
                    help="geometric | all | ratio | n1,n2,...")
-    p.add_argument("--cache-dir", default=os.environ.get(ENV_CACHE_DIR),
+    p.add_argument("--cache-dir",
                    help=f"series cache directory (default: ${ENV_CACHE_DIR} if set)")
     common(p)
 
@@ -215,9 +226,10 @@ def _report_rows(columns, csv: bool, prefixes, sep: str):
     are joined by sep. Ints print with str, floats as fmt12 in CSV and as
     repr in JSON (as json.dumps), a NaN as "" or null. A step at a time
     keeps no Python object per row of the whole report. A report of signed
-    int columns only is rendered in numpy by _int_rows instead.
+    int columns only, of at least _INT_ROWS_MIN rows, is rendered in numpy
+    by _int_rows instead; both give the same text.
     """
-    if all(col.dtype.kind == "i" for col in columns):
+    if len(columns[0]) >= _INT_ROWS_MIN and all(col.dtype.kind == "i" for col in columns):
         yield from _int_rows(columns, prefixes, sep)
         return
     for i in range(0, len(columns[0]), _ROWS_PER_STEP):
@@ -317,7 +329,8 @@ def cmd_sieve(args) -> int:
 
 def cmd_sum(args) -> int:
     cps = resolve_checkpoints(args.limit, args.ladder)
-    series = _try_cached_series(args.cache_dir, args.kind, args.limit, cps, args.threads)
+    cache_dir = os.environ.get(ENV_CACHE_DIR) if args.cache_dir is None else args.cache_dir
+    series = _try_cached_series(cache_dir, args.kind, args.limit, cps, args.threads)
     columns = (series.ns, series.sums)
     if args.format == "csv":
         _emit(_csv(("n", "S"), columns), args.output)
@@ -345,15 +358,12 @@ def cmd_scaling(args) -> int:
     plan = args.ladder
     if plan is None:
         plan = "all" if args.limit <= DENSE_SCAN_LIMIT else "geometric"
-    series = accumulate(args.kind, args.limit, plan, threads=args.threads)
+    if plan == "all":
+        series = change_points(args.kind, args.limit, threads=args.threads)
+    else:
+        series = accumulate(args.kind, args.limit, plan, threads=args.threads)
     phi = SlowGrowthSpec.from_name(args.phi)
-
-    # Both end at the limit, so every ladder point has an index in series.ns.
-    ladder = geometric_ladder(args.limit)
-    idx = np.searchsorted(series.ns, ladder)
-    hit = series.ns[idx] == ladder
-    samples = [(int(n), abs(float(series.sums[i]))) for n, i in zip(ladder[hit], idx[hit])]
-    fit = fit_exponent(samples)
+    fit = fit_exponent(ladder_samples(series, geometric_ladder(args.limit)))
     envelope = normalized_envelope(series)
     coverage = chebyshev_bound_coverage(series, phi)
 
@@ -387,9 +397,14 @@ def cmd_verify(args) -> int:
     return 0 if outcome.all_passed else 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "sieve": cmd_sieve,
         "sum": cmd_sum,

@@ -5,6 +5,13 @@ squares), how large does |S(n)|/sqrt(n) ever get (normalized envelope), and
 for what fraction of n does |S(n)| stay below sqrt(n) times a slowly
 growing function (coverage). Every kind has zero density, so S(n) is its
 own deviation from the mean.
+
+Each function takes a checkpoint series (SummatorySeries), whose every
+checkpoint stands for its own n, or a ChangePointSeries, which holds S(n)
+at every n as runs of constant value: a checkpoint series is the case where
+every run has length 1. The envelope of a run is at its start, and coverage
+decides a whole run from the bound at its ends where it can, so that every
+n is counted without a row per n.
 """
 
 from __future__ import annotations
@@ -18,9 +25,17 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import FunctionKind
-from .series import SummatorySeries
+from .series import ChangePointSeries, SummatorySeries
 
 log = logging.getLogger(__name__)
+
+#: Relative margin of a whole-run coverage decision. It is sound while each
+#: float64 evaluation of sqrt(n) * phi(n) lies within 1000 ulp (a relative
+#: 2.2e-13) of its exact value: numpy's sqrt is correctly rounded, and the
+#: log, log1p and power of the phi menu are within a few ulp.
+RUN_MARGIN = 1e-12
+
+Series = SummatorySeries | ChangePointSeries
 
 
 class EnvelopeResult(NamedTuple):
@@ -54,7 +69,8 @@ class SlowGrowthSpec:
     Menu names: "log", "log2" (squared logarithm), "loglog" (iterated
     logarithm, realized as log(1 + log n) so it stays positive from n = 2),
     "const" or "const:C", and "pow:E" for n**E. The evaluator accepts
-    numpy arrays and Python scalars alike.
+    numpy arrays and Python scalars alike. Coverage needs phi positive and
+    nondecreasing for n >= 2, as every menu entry is.
     """
 
     name: str
@@ -139,33 +155,98 @@ def fit_exponent(samples: Sequence[tuple[int, float]]) -> ExponentFit:
     return ExponentFit(alpha, log_c, r_squared, len(usable), float(np.abs(residuals).max()))
 
 
-def normalized_envelope(series: SummatorySeries) -> EnvelopeResult:
-    """Max of |S(n)|/sqrt(n) over the checkpoints; ties go to the smaller n."""
+def ladder_samples(series: Series, ladder: np.ndarray) -> list[tuple[int, float]]:
+    """(n, |S(n)|) at each point of ladder the series holds, for fit_exponent.
+
+    A ChangePointSeries holds every n, at the change point at or before it;
+    a checkpoint series holds only its checkpoints.
+    """
+    idx = np.searchsorted(series.ns, ladder, side="right") - 1
+    if isinstance(series, SummatorySeries):  # a point before ns[0] gets ns[-1] = limit, no hit
+        hit = series.ns[idx] == ladder
+        ladder, idx = ladder[hit], idx[hit]
+    return [(int(n), abs(float(series.sums[i]))) for n, i in zip(ladder, idx)]
+
+
+def normalized_envelope(series: Series) -> EnvelopeResult:
+    """Max of |S(n)|/sqrt(n) over the n the series holds; ties go to the smaller n.
+
+    Within a run of constant S(n) the ratio is largest at the run's start,
+    since sqrt and division are correctly rounded and monotone, so only the
+    starts are scanned.
+    """
     ratios = np.sqrt(series.ns, dtype=np.float64)
     np.divide(np.abs(series.sums), ratios, out=ratios)
     idx = int(np.argmax(ratios))  # first occurrence, hence the smallest n
     return EnvelopeResult(float(ratios[idx]), int(series.ns[idx]))
 
 
-def chebyshev_bound_coverage(series: SummatorySeries, phi: SlowGrowthSpec) -> CoverageReport:
-    """Count checkpoints where |S(n)| <= sqrt(n) * phi(n).
-
-    Checkpoints at n = 1 are excluded: the menu logarithms vanish there
-    and the bound would be judged on an empty-growth point.
+def _bound(ns: np.ndarray, phi: SlowGrowthSpec) -> np.ndarray:
+    """sqrt(n) * phi(n) at the float64 n of ns, in place of ns if it can.
 
     Raises:
-        DomainError: phi non-positive somewhere on the probed checkpoints.
+        DomainError: phi non-positive at one of ns.
     """
-    start = int(series.ns[0] < 2)  # ns is strictly increasing from n >= 1
-    ns = series.ns[start:].astype(np.float64)
-    if len(ns) == 0:
-        raise DomainError("coverage needs at least one checkpoint with n >= 2")
     phi_vals = np.asarray(phi.evaluator(ns), dtype=np.float64)
     if bool((phi_vals <= 0).any()):
         raise DomainError(f"phi {phi.name!r} is non-positive on the checkpoint range")
     bound = np.sqrt(ns, out=None if np.may_share_memory(ns, phi_vals) else ns)
     bound *= phi_vals
-    satisfied = int(np.count_nonzero(np.abs(series.sums[start:]) <= bound))
-    total = int(len(ns))
-    return CoverageReport(series.kind, series.limit, phi, satisfied, total,
-                          satisfied / total)
+    return bound
+
+
+def chebyshev_bound_coverage(series: Series, phi: SlowGrowthSpec) -> CoverageReport:
+    """Count the n >= 2 the series holds where |S(n)| <= sqrt(n) * phi(n).
+
+    n = 1 is excluded: the menu logarithms vanish there and the bound would
+    be judged on an empty-growth point. phi must be positive and
+    nondecreasing for n >= 2. A run of length 1 is judged at its n. A longer
+    run is judged whole when |S| <= bound(start) * (1 - RUN_MARGIN), where
+    every n of it holds, or |S| > bound(end) * (1 + RUN_MARGIN), where none
+    does; the few runs between are judged at each n. The count is the
+    pointwise count either way.
+
+    Raises:
+        DomainError: phi non-positive at a probed n, or no n >= 2.
+    """
+    lengths = series.run_lengths()
+    # n = 1 leaves with its run if the run is n = 1 alone, else the run starts at 2.
+    first = int(series.ns[0] < 2 and (lengths is None or lengths[0] == 1))
+    ns = series.ns[first:]
+    if len(ns) == 0:
+        raise DomainError("coverage needs at least one checkpoint with n >= 2")
+    mags = np.abs(series.sums[first:])
+    if lengths is None:
+        satisfied = int(np.count_nonzero(mags <= _bound(ns.astype(np.float64), phi)))
+        total = len(ns)
+        return CoverageReport(series.kind, series.limit, phi, satisfied, total, satisfied / total)
+    lengths = lengths[first:]
+    if ns[0] < 2:
+        lengths[0] -= 1
+    total = int(lengths.sum())
+    bound = _bound(np.maximum(ns, 2, dtype=np.float64), phi)
+    long = lengths > 1
+    held = mags <= bound
+    held &= ~long
+    satisfied = int(np.count_nonzero(held))  # runs of one n, judged at it
+    bound *= 1 - RUN_MARGIN
+    np.less_equal(mags, bound, out=held)
+    held &= long
+    satisfied += int(lengths.sum(where=held))  # long runs that hold at every n
+    long &= ~held
+    del bound, held
+    # The other long runs hold at no n, or straddle the bound and are judged at each n.
+    rest = np.flatnonzero(long)
+    mags, lengths = mags[rest], lengths[rest]
+    ends = np.maximum(ns[rest], 2, dtype=np.float64)
+    ends += lengths
+    ends -= 1
+    top = _bound(ends.copy(), phi)
+    top *= 1 + RUN_MARGIN
+    mid = np.flatnonzero(mags <= top)
+    if len(mid):
+        mags, lengths, ends = mags[mid], lengths[mid], ends[mid]
+        points = np.repeat(ends - np.cumsum(lengths), lengths)
+        points += np.arange(1, len(points) + 1)
+        satisfied += int(np.count_nonzero(np.repeat(mags, lengths) <= _bound(points, phi)))
+    return CoverageReport(series.kind, series.limit, phi, satisfied, total, satisfied / total)

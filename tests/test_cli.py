@@ -17,7 +17,7 @@ from summatoria import series as series_mod
 from summatoria import verify as verify_mod
 from summatoria.cache import load
 from summatoria.cli import fmt12, main, parse_kind, parse_ladder, parse_limit
-from summatoria.kernels import FunctionKind, ValueTable, sieve_values
+from summatoria.kernels import KIND_BY_LABEL, FunctionKind, ValueTable, sieve_values
 from summatoria.moments import moment_scan, prime_adjacent_joint
 from summatoria.series import SummatorySeries, accumulate, resolve_checkpoints
 
@@ -413,6 +413,30 @@ class TestScalingCommand:
         assert code == 0
         check("scaling", json.loads(out.read_text()))
 
+    @pytest.mark.parametrize("limit", [4, 100, 10**4])
+    @pytest.mark.parametrize("kind", sorted(KIND_BY_LABEL))
+    def test_change_points_give_the_every_n_report(self, kind, limit, capsys):
+        # --ladder all runs on change points; a list of every n runs on a checkpoint series.
+        every_n = ",".join(map(str, range(1, limit + 1)))
+        for fmt in ("csv", "json"):
+            reports = []
+            for ladder in ("all", every_n):
+                code = main(["scaling", "--kind", kind, "--limit", str(limit), "--ladder", ladder,
+                             "--format", fmt])
+                reports.append((code, *capsys.readouterr()))
+            assert reports[0] == reports[1]
+            assert reports[0][0] == (2 if limit == 4 and kind in ("mobius", "liouville") else 0)
+
+    @pytest.mark.parametrize("kind, used", [("mobius", (0, 0, 1)), ("liouville", (0, 0, 1)),
+                                            ("prime-indicator", (0, 1, 2)), ("psi", (0, 1, 2)),
+                                            ("theta", (0, 1, 2))])
+    def test_limits_below_four_are_too_few_samples(self, kind, used, capsys):
+        for limit, got in zip((1, 2, 3), used):
+            for ladder in ([], ["--ladder", "all"]):
+                assert main(["scaling", "--kind", kind, "--limit", str(limit), *ladder]) == 2
+                assert capsys.readouterr() == (
+                    "", f"error: exponent fit needs >= 3 usable samples, got {got}\n")
+
 
 def cell(v) -> str:
     """One CSV cell of a JSON value: empty for null, fmt12 for a float, str otherwise."""
@@ -532,11 +556,13 @@ class TestIntegerRows:
         columns = (np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), np.array(c, dtype=np.int8))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli_mod, "_INT_ROWS_PER_STEP", step)
+            mp.setattr(cli_mod, "_INT_ROWS_MIN", 1)
             for k, csv in ((1, True), (3, False)):
                 want = sep.join(",".join(p + str(v) for p, v in zip(prefixes, row[:k])) for row in rows)
                 assert "".join(cli_mod._report_rows(columns[:k], csv, prefixes[:k], sep)) == want
 
-    def test_extremes_and_a_float_column(self):
+    def test_extremes_and_a_float_column(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "_INT_ROWS_MIN", 1)
         ints = np.array([0, -1, 1, 9, -10, 2**31 - 1, -(2**31), INT64, -INT64, -(2**63)], dtype=np.int64)
         for top in (9, 2**31 - 1, 2**31, INT64):  # the largest |v| of a column picks int32 or uint64
             col = np.array([0, -1, top, -top, top // 10], dtype=np.int64)
@@ -545,6 +571,35 @@ class TestIntegerRows:
         mixed = (ints, ints.astype(np.float64))
         text = "".join(cli_mod._report_rows(mixed, True, ["", ""], "\n"))
         assert text.splitlines()[-1] == f"{-(2**63)},{fmt12(-(2.0**63))}"
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_either_side_of_the_row_threshold(self, fmt, monkeypatch, capsys):
+        # Below _INT_ROWS_MIN rows the str join renders the report, from it on _int_rows.
+        calls = []
+        real = cli_mod._int_rows
+        monkeypatch.setattr(cli_mod, "_int_rows", lambda *args: calls.append(1) or real(*args))
+        for limit in (cli_mod._INT_ROWS_MIN - 1, cli_mod._INT_ROWS_MIN):
+            calls.clear()
+            assert main(["sum", "--kind", "liouville", "--limit", str(limit), "--ladder", "all",
+                         "--format", fmt]) == 0
+            series = accumulate(FunctionKind.LIOUVILLE, limit, "all")
+            if fmt == "csv":
+                want = "n,S\n" + "".join(f"{n},{v}\n" for n, v in zip(series.ns.tolist(), series.sums.tolist()))
+            else:
+                want = reference_json({"kind": "liouville", "limit": limit}, "checkpoints", ("n", "S"),
+                                      (series.ns, series.sums))
+            assert capsys.readouterr().out == want
+            assert len(calls) == (limit >= cli_mod._INT_ROWS_MIN)
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        parser = cli_mod._parser()
+        monkeypatch.setattr(cli_mod, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert main(["sum", "--kind", "mobius", "--limit", "4"]) == 0
+        assert cli_mod._parser() is parser
+        assert capsys.readouterr().out == "n,S\n1,1\n2,0\n3,-1\n4,-1\n"
 
 
 class TestVerifyCommand:
@@ -684,7 +739,10 @@ class TestExitCodes:
          "above the cap of 20000000", 10**8),
         (["stats", "--kind", "mobius", "--limit", "1e8", "--ladder", "all"],
          "above the cap of 20000000", 2 * 10**7),
-    ], ids=["stats", "sum-all", "sum-all-1e9", "sum-ratio-1e9", "stats-all-3e7", "stats-all-1e8"])
+        (["scaling", "--kind", "psi", "--limit", "2e8", "--ladder", "all"],
+         "every n is 200000000 checkpoints, above the cap of 100000000", 10**8),
+    ], ids=["stats", "sum-all", "sum-all-1e9", "sum-ratio-1e9", "stats-all-3e7", "stats-all-1e8",
+            "scaling-all-2e8"])
     def test_past_max_limit_exits_three_before_allocating(self, argv, message, guard, monkeypatch, capsys):
         class GuardedNumpy:
             """numpy, except that arange refuses more than guard entries."""

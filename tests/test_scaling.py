@@ -6,14 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summatoria.errors import DomainError
-from summatoria.kernels import FunctionKind
+from summatoria.kernels import KIND_BY_LABEL, FunctionKind
 from summatoria.scaling import (
+    RUN_MARGIN,
     SlowGrowthSpec,
     chebyshev_bound_coverage,
     fit_exponent,
+    ladder_samples,
     normalized_envelope,
 )
-from summatoria.series import SummatorySeries, accumulate
+from summatoria.series import (
+    ChangePointSeries,
+    SummatorySeries,
+    accumulate,
+    change_points,
+    geometric_ladder,
+)
+
+#: Every entry of the phi menu, with the constants and powers the reports use.
+MENU = ("log", "log2", "loglog", "const", "const:0.01", "const:0.5", "pow:0.1", "pow:0.55", "pow:0.6")
 
 
 def synthetic_series(ns, sums):
@@ -133,11 +144,11 @@ class TestCoverage:
         assert report.total == 10**6 - 1  # n = 1 excluded
 
     def test_tiny_constant_violated_somewhere(self):
-        series = accumulate(FunctionKind.MOBIUS, 10**6, "all")
-        report = chebyshev_bound_coverage(series, SlowGrowthSpec.from_name("const:0.01"))
-        assert report.fraction < 1.0
-        # measured once with this exact scan, then frozen
-        assert report.satisfied == 52052
+        for series in (accumulate(FunctionKind.MOBIUS, 10**6, "all"), change_points(FunctionKind.MOBIUS, 10**6)):
+            report = chebyshev_bound_coverage(series, SlowGrowthSpec.from_name("const:0.01"))
+            assert report.fraction < 1.0
+            # measured once with this exact scan, then frozen
+            assert (report.satisfied, report.total) == (52052, 10**6 - 1)
 
     def test_monotone_in_phi(self):
         series = accumulate(FunctionKind.LIOUVILLE, 20000, "all")
@@ -189,3 +200,107 @@ class TestInPlaceMatchesReference:
         series = SummatorySeries(FunctionKind.CHEBYSHEV_PSI_TERM, 16, ns, np.array([5.0, 9.0, 60.0]))
         phi = SlowGrowthSpec("identity", lambda n: n)
         assert chebyshev_bound_coverage(series, phi).satisfied == reference_coverage(series, phi) == 3
+
+
+def expanded(series):
+    """The change-point series as one S(n) per n, by np.repeat over its runs."""
+    lengths = series.run_lengths()
+    return series.sums if lengths is None else np.repeat(series.sums, lengths)
+
+
+def reference_fit_samples(every, ladder):
+    """(n, |S(n)|) at each ladder point, read off an every-n checkpoint series."""
+    return [(int(n), abs(float(every.sums[n - 1]))) for n in ladder]
+
+
+class TestChangePointsMatchEveryN:
+    """Envelope, coverage and fit of the change-point form equal those of every n, point by point."""
+
+    @given(st.sampled_from(sorted(KIND_BY_LABEL)), st.integers(1, 3 * 10**4),
+           st.sampled_from([97, 4096]), st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_kind_and_phi(self, label, limit, segment_size, threads):
+        kind = KIND_BY_LABEL[label]
+        every = accumulate(kind, limit, "all", segment_size=segment_size)
+        runs = change_points(kind, limit, segment_size=segment_size, threads=threads)
+        assert expanded(runs).dtype == every.sums.dtype
+        assert expanded(runs).tobytes() == every.sums.tobytes()
+        assert normalized_envelope(runs) == reference_envelope(every)
+        ladder = geometric_ladder(limit)
+        assert ladder_samples(runs, ladder) == reference_fit_samples(every, ladder)
+        for name in MENU:
+            phi = SlowGrowthSpec.from_name(name)
+            if limit == 1:
+                with pytest.raises(DomainError, match="at least one checkpoint with n >= 2"):
+                    chebyshev_bound_coverage(runs, phi)
+                continue
+            report = chebyshev_bound_coverage(runs, phi)
+            assert (report.satisfied, report.total) == (reference_coverage(every, phi), limit - 1)
+
+    @pytest.mark.parametrize("label", ["prime-indicator", "theta"])
+    def test_runs_that_straddle_the_log_bound(self, label):
+        # Up to 10**6 one pi(n) run and two theta runs cross sqrt(n) log n inside the run.
+        kind, phi = KIND_BY_LABEL[label], SlowGrowthSpec.from_name("log")
+        every = accumulate(kind, 10**6, "all")
+        report = chebyshev_bound_coverage(change_points(kind, 10**6), phi)
+        assert report.satisfied == reference_coverage(every, phi)
+
+    @given(st.lists(st.tuples(st.integers(1, 40), st.floats(0.0, 1.0), st.sampled_from([-1, 0, 1])),
+                    min_size=1, max_size=60),
+           st.sampled_from(MENU))
+    @settings(max_examples=200, deadline=None)
+    def test_synthetic_runs_on_the_bound(self, runs, name):
+        # Each run's |S| is the bound at a point inside the run, nudged by an ulp, so
+        # most runs straddle it and are judged at each n.
+        phi = SlowGrowthSpec.from_name(name)
+        lengths = np.array([length for length, _, _ in runs], dtype=np.int64)
+        ns = np.concatenate(([1], 1 + np.cumsum(lengths)[:-1]))
+        limit = int(ns[-1] + lengths[-1] - 1)
+        at = np.maximum(ns + np.array([int(f * (length - 1)) for length, f, _ in runs]), 2)
+        bound = np.sqrt(at.astype(np.float64)) * phi.evaluator(at.astype(np.float64))
+        sums = np.array([np.nextafter(b, b + nudge) if nudge else b
+                         for b, (_, _, nudge) in zip(bound.tolist(), runs)])
+        sums *= np.where(np.arange(len(sums)) % 2, -1.0, 1.0)
+        series = ChangePointSeries(FunctionKind.CHEBYSHEV_PSI_TERM, limit, ns, sums)
+        every = SummatorySeries(FunctionKind.CHEBYSHEV_PSI_TERM, limit,
+                                np.arange(1, limit + 1), np.repeat(sums, lengths))
+        assert normalized_envelope(series) == reference_envelope(every)
+        if limit == 1:
+            return
+        report = chebyshev_bound_coverage(series, phi)
+        assert (report.satisfied, report.total) == (reference_coverage(every, phi), limit - 1)
+
+    def test_margin_covers_the_float_error_of_the_bound(self):
+        # A run judged whole at its start must hold at every n of it: the bound's
+        # float evaluation may dip below its start value by far less than the margin.
+        ns = np.arange(2, 10**6, dtype=np.float64)
+        for name in MENU:
+            phi = SlowGrowthSpec.from_name(name)
+            bound = np.sqrt(ns) * phi.evaluator(ns)
+            assert bool((bound[1:] >= bound[:-1] * (1 - RUN_MARGIN / 4)).all()), name
+
+
+class TestChangePointForm:
+    def test_run_lengths(self):
+        runs = change_points(FunctionKind.PRIME_INDICATOR, 10)
+        assert runs.ns.tolist() == [1, 2, 3, 5, 7]
+        assert runs.sums.tolist() == [0, 1, 2, 3, 4]
+        assert runs.run_lengths().tolist() == [1, 1, 2, 2, 4]
+        assert change_points(FunctionKind.LIOUVILLE, 10).run_lengths() is None
+
+    def test_run_from_one_counts_from_two(self):
+        # S = 1 on [1, 3]: n = 1 is left out, n = 2 and 3 are judged as a run.
+        series = ChangePointSeries(FunctionKind.MOBIUS, 5, np.array([1, 4]), np.array([1, 3]))
+        report = chebyshev_bound_coverage(series, SlowGrowthSpec.from_name("const"))
+        assert (report.satisfied, report.total) == (2, 4)  # 1 <= sqrt(2), sqrt(3); 3 > sqrt(4), sqrt(5)
+        assert normalized_envelope(series) == (1.5, 4)
+
+    def test_ladder_samples_of_a_checkpoint_series_skip_missing_points(self):
+        series = synthetic_series([3, 8, 20], [1, -2, 4])
+        assert ladder_samples(series, np.array([1, 2, 3, 4, 8, 20])) == [(3, 1.0), (8, 2.0), (20, 4.0)]
+
+    def test_construction_rejects_bad_change_points(self):
+        kind = FunctionKind.MOBIUS
+        for ns, sums in (([], []), ([1, 2], [1]), ([2, 3], [0, 1]), ([1, 9], [1, 0]), ([1, 3, 3], [1, 0, 1])):
+            with pytest.raises(DomainError):
+                ChangePointSeries(kind, 8, np.array(ns, dtype=np.int64), np.array(sums, dtype=np.int64))

@@ -20,6 +20,7 @@ from summatoria.series import (
     SummatorySeries,
     _ExactRun,
     accumulate,
+    change_points,
     geometric_ladder,
     resolve_checkpoints,
 )
@@ -49,6 +50,32 @@ class TestAccumulateExamples:
     def test_limit_cap(self):
         with pytest.raises(ResourceError):
             accumulate(FunctionKind.MOBIUS, 101, max_limit=100)
+
+
+class TestChangePoints:
+    def test_first_values(self):
+        mobius = change_points(FunctionKind.MOBIUS, 10)
+        assert (mobius.ns.tolist(), mobius.sums.tolist()) == ([1, 2, 3, 5, 6, 7, 10], [1, 0, -1, -2, -1, -2, -1])
+        psi = change_points(FunctionKind.CHEBYSHEV_PSI_TERM, 10)
+        assert psi.ns.tolist() == [1, 2, 3, 4, 5, 7, 8, 9]
+        assert psi.sums[0] == 0.0 and psi.sums[-1] == accumulate(FunctionKind.CHEBYSHEV_PSI_TERM, 10, [10]).sums[0]
+
+    def test_segment_without_a_change_point(self):
+        runs = change_points(FunctionKind.PRIME_INDICATOR, 100, segment_size=5)  # [91, 95] has no prime
+        assert runs.ns.tolist()[-3:] == [83, 89, 97]
+
+    def test_refuses_what_accumulate_refuses(self, monkeypatch):
+        for kwargs, error in (({"limit": 0}, DomainError), ({"limit": 101, "max_limit": 100}, ResourceError),
+                              ({"limit": 10, "segment_size": 0}, DomainError)):
+            with pytest.raises(error) as ours:
+                change_points(FunctionKind.MOBIUS, **kwargs)
+            with pytest.raises(error) as every_n:
+                accumulate(FunctionKind.MOBIUS, checkpoint_plan="all", **kwargs)
+            assert str(ours.value) == str(every_n.value)
+        monkeypatch.setattr(series_mod, "MAX_CHECKPOINTS", 1000)
+        assert len(change_points(FunctionKind.LIOUVILLE, 1000)) == 1000
+        with pytest.raises(ResourceError, match="every n is 1001 checkpoints, above the cap of 1000"):
+            change_points(FunctionKind.CHEBYSHEV_PSI_TERM, 1001)
 
 
 LADDER_RATIOS = (3.0, 2.0, 1.5, 1.4999999, 1.3, 1.1, 1.01, 1.001, 1.0001, 1.00001, 1.000007, 1.000003)
