@@ -17,15 +17,19 @@ the Chebyshev kinds. Series payloads are (u64 n, i64 S) or (u64 n, f64 S)
 pairs in ascending n. No compression; the bytes of a saved artifact are a
 pure function of the artifact.
 
-Loads re-check everything: magic, version, tags, checksum (integrity
+The format is a pure codec: encode turns an artifact into its header and
+payload bytes, and decode turns the bytes of a file back into the artifact.
+Decoding re-checks everything: magic, version, tags, checksum (integrity
 errors, naming the offending field), then the reconstructed artifact's own
 type invariants (corruption errors). Because the checksum covers the header
 fields as well as the payload, a changed byte anywhere in the file is an
 integrity error. Version 1 files (FNV-1a over the payload only) fail the
 version check.
 
-Saves write a temporary file next to the target and rename it into place,
-so a reader sees either the old file or the new one, never a partial write.
+save and load are the codec's file wrappers. save writes the header and the
+payload to a temporary file next to the target and renames it into place,
+so a reader sees either the old file or the new one, never a partial write;
+load reads the whole file and decodes it.
 """
 
 from __future__ import annotations
@@ -80,30 +84,16 @@ def _payload_bytes(artifact) -> tuple[int, int, int, bytes]:
     raise DomainError(f"cannot serialize a {type(artifact).__name__}")
 
 
-def save(path, artifact: ValueTable | SummatorySeries) -> None:
-    """Write one artifact to path in the header-plus-payload format.
-
-    The bytes go to a temporary file in the same directory, which then
-    replaces path in one rename; on failure path is left as it was.
-    """
+def encode(artifact: ValueTable | SummatorySeries) -> tuple[bytes, bytes]:
+    """The header and the payload of one artifact; the file is the one after the other."""
     kind_tag, payload_tag, (lo, hi), payload = _payload_bytes(artifact)
     fields = (MAGIC, VERSION, kind_tag, payload_tag, lo, hi)
     checksum = fnv1a64(payload, HEADER.pack(*fields, 0)[:CHECKSUM_OFFSET])
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(HEADER.pack(*fields, checksum))
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    return HEADER.pack(*fields, checksum), payload
 
 
-def load(path) -> ValueTable | SummatorySeries:
-    """Read an artifact back, re-validating structure and invariants.
+def decode(buffer) -> ValueTable | SummatorySeries:
+    """The artifact whose file bytes are buffer, re-validating structure and invariants.
 
     Raises:
         IntegrityError: short file, bad magic, unknown version or tag,
@@ -111,7 +101,7 @@ def load(path) -> ValueTable | SummatorySeries:
         CorruptionError: bytes are structurally sound but the decoded
             artifact violates its own type invariants.
     """
-    raw = Path(path).read_bytes()
+    raw = memoryview(buffer)
     if len(raw) < HEADER.size:
         raise IntegrityError(f"header: file is {len(raw)} bytes, need {HEADER.size}")
     magic, version, kind_tag, payload_tag, lo, hi, checksum = HEADER.unpack_from(raw)
@@ -125,7 +115,7 @@ def load(path) -> ValueTable | SummatorySeries:
         raise IntegrityError(f"kind_tag: unknown value {kind_tag}") from None
     if payload_tag not in (PAYLOAD_VALUE_TABLE, PAYLOAD_SERIES):
         raise IntegrityError(f"payload_tag: unknown value {payload_tag}")
-    payload = memoryview(raw)[HEADER.size :]
+    payload = raw[HEADER.size :]
     actual = fnv1a64(payload, raw[:CHECKSUM_OFFSET])
     if actual != checksum:
         raise IntegrityError(
@@ -156,6 +146,31 @@ def load(path) -> ValueTable | SummatorySeries:
         return SummatorySeries(kind, hi, ns, sums)
     except DomainError as exc:
         raise CorruptionError(f"series rejected: {exc}") from exc
+
+
+def save(path, artifact: ValueTable | SummatorySeries) -> None:
+    """Write one artifact to path as encode gives it, the header then the payload.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces path in one rename; on failure path is left as it was.
+    """
+    header, payload = encode(artifact)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(header)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def load(path) -> ValueTable | SummatorySeries:
+    """Read the artifact at path back with decode, which raises on any fault it finds."""
+    return decode(Path(path).read_bytes())
 
 
 def series_filename(kind: FunctionKind, limit: int) -> str:

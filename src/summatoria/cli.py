@@ -48,7 +48,8 @@ _ROWS_PER_STEP = 1 << 12
 #: Rows of an all-integer report rendered as one character matrix at a time.
 _INT_ROWS_PER_STEP = 1 << 16
 #: Fewest rows for which the character matrix beats the str join: its fixed
-#: cost of about 45 us breaks even near 300 rows in JSON and 400 in CSV.
+#: cost of about 35-45 us breaks even near 200 rows in JSON and 300 in CSV,
+#: and short reports, such as a geometric ladder, keep the str join.
 _INT_ROWS_MIN = 400
 #: The columns of a stats report, one per MomentTable column.
 _STATS_FIELDS = MomentTable._fields[1:]
@@ -186,10 +187,16 @@ def _digits(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep = np.empty(chars.shape, dtype=bool)
     chars[:, 0] = ord("-")
     keep[:, 0] = neg
+    # digit = rest - 10 * (rest // 10): numpy divides int32 and uint64 by a
+    # scalar several times faster with // than with divmod or %
+    q, digit = np.empty_like(rest), np.empty_like(rest)
     for d in range(width, 0, -1):
         np.greater(rest, 0, out=keep[:, d])
-        rest, digit = np.divmod(rest, 10)
+        np.floor_divide(rest, 10, out=q)
+        np.multiply(q, 10, out=digit)
+        np.subtract(rest, digit, out=digit)
         np.add(digit, ord("0"), out=chars[:, d], casting="unsafe")
+        rest, q = q, rest
     keep[:, width] = True
     return chars, keep
 
@@ -304,11 +311,11 @@ def _try_cached_series(cache_dir, kind, limit, cps, threads):
 
 def _restrict(series: SummatorySeries, cps) -> SummatorySeries | None:
     """series at exactly the checkpoints cps, or None if it lacks one of them."""
+    if len(cps) == len(series.ns) and np.array_equal(series.ns, cps):
+        return series
     idx = np.minimum(np.searchsorted(series.ns, cps), len(series.ns) - 1)
     if not np.array_equal(series.ns[idx], cps):
         return None
-    if len(idx) == len(series.ns):
-        return series
     return SummatorySeries(series.kind, series.limit, series.ns[idx], series.sums[idx])
 
 

@@ -376,9 +376,10 @@ def trial_division_counts(n: int) -> FactorCounts:
     Tries d = 2, 3 and then every 6j +- 1 with d*d <= n against the live
     entries, dividing each hit by d for as long as d divides it. An entry
     leaves once its residue is below d*d, as it is then 1 or a prime, and a
-    residue left above 1 is one more prime. It uses only % and // on them,
-    never a strided slice, the base primes or a segment kernel, so it is an
-    independent check of the sieves.
+    residue left above 1 is one more prime. It uses only // on them, never a
+    strided slice, the base primes or a segment kernel, so it is an
+    independent check of the sieves. d divides v when (v // d) * d == v:
+    numpy's // of int32 by a scalar is several times faster than its %.
     """
     if n < 1:
         raise DomainError(f"trial division needs n >= 1, got {n}")
@@ -397,13 +398,15 @@ def trial_division_counts(n: int) -> FactorCounts:
     live = np.arange(n)
     for d in divisors:
         live = live[m[live] >= d * d]
-        hit = live[m[live] % d == 0]
+        v = m[live]
+        hit = live[(v // d) * d == v]
         omega[hit] += 1
         least[hit[least[hit] == 0]] = d
         while hit.size:
-            m[hit] //= d
+            v = m[hit] // d
+            m[hit] = v
             big_omega[hit] += 1
-            hit = hit[m[hit] % d == 0]
+            hit = hit[(v // d) * d == v]
             squarefree[hit] = False
     rest = m > 1
     omega += rest

@@ -11,6 +11,8 @@ from summatoria.cache import (
     HEADER,
     MAGIC,
     VERSION,
+    decode,
+    encode,
     fnv1a64,
     load,
     save,
@@ -108,12 +110,15 @@ class TestRoundTrip:
         assert np.array_equal(back.values, table.values)
 
 
-def _write_file(path, kind_tag, payload_tag, lo, hi, payload, checksum=None, magic=MAGIC,
-                version=VERSION):
+def _file_bytes(kind_tag, payload_tag, lo, hi, payload, checksum=None, magic=MAGIC, version=VERSION):
     fields = (magic, version, kind_tag, payload_tag, lo, hi)
     if checksum is None:
         checksum = fnv1a64(payload, HEADER.pack(*fields, 0)[:CHECKSUM_OFFSET])
-    path.write_bytes(HEADER.pack(*fields, checksum) + payload)
+    return HEADER.pack(*fields, checksum) + payload
+
+
+def _write_file(path, *args, **kwargs):
+    path.write_bytes(_file_bytes(*args, **kwargs))
 
 
 class TestIntegrity:
@@ -199,6 +204,60 @@ def _fnv1a_v1(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def _same(a, b) -> bool:
+    """Whether two artifacts have the same type, kind, bounds, dtypes and bytes."""
+    if type(a) is not type(b) or a.kind is not b.kind:
+        return False
+    if isinstance(a, ValueTable):
+        return ((a.lo, a.hi) == (b.lo, b.hi) and a.values.dtype == b.values.dtype
+                and a.values.tobytes() == b.values.tobytes())
+    return (a.limit == b.limit and a.ns.dtype == b.ns.dtype and a.sums.dtype == b.sums.dtype
+            and a.ns.tobytes() == b.ns.tobytes() and a.sums.tobytes() == b.sums.tobytes())
+
+
+#: Faulty files: each is refused with its error class and the field it names.
+FAULTS = {
+    "truncated header": (b"SUMF\x01", IntegrityError, "header"),
+    "bad magic": (_file_bytes(0, 0, 1, 2, b"\x01\x00", magic=b"JUNK"), IntegrityError, "magic"),
+    "bad version": (_file_bytes(0, 0, 1, 2, b"\x01\x00", version=99), IntegrityError, "version"),
+    "bad kind tag": (_file_bytes(9, 0, 1, 2, b"\x01\x00"), IntegrityError, "kind_tag"),
+    "bad payload tag": (_file_bytes(0, 7, 1, 2, b"\x01\x00"), IntegrityError, "payload_tag"),
+    "zero checksum": (_file_bytes(0, 0, 1, 2, b"\x01\x00", checksum=0), IntegrityError, "header says 0x"),
+    "flipped payload bit": (_file_bytes(0, 0, 1, 2, b"\x01\x00")[:-1] + b"\x10", IntegrityError, "checksum"),
+    "liouville zero": (_file_bytes(FunctionKind.LIOUVILLE.value, 0, 1, 3, struct.pack("<3b", 1, -1, 0)),
+                       CorruptionError, "zero"),
+    "odd series length": (_file_bytes(0, 1, 1, 5, b"\x00" * 17), CorruptionError, "whole number"),
+}
+
+
+class TestCodec:
+    """encode and decode are the format; save and load only move its bytes."""
+
+    @pytest.mark.parametrize("kind", list(FunctionKind))
+    def test_decode_of_encode_is_load_after_save(self, kind, tmp_path):
+        path = tmp_path / "a.sumf"
+        for artifact in (sieve_values(kind, 5, 200), accumulate(kind, 500), accumulate(kind, 300, "all")):
+            header, payload = encode(artifact)
+            save(path, artifact)
+            assert path.read_bytes() == header + payload
+            back = load(path)
+            assert _same(back, artifact)
+            for buffer in (header + payload, bytearray(header + payload), memoryview(header + payload)):
+                assert _same(decode(buffer), back)
+
+    @pytest.mark.parametrize("name", FAULTS)
+    def test_decode_refuses_as_load_does(self, name, tmp_path):
+        raw, error, text = FAULTS[name]
+        path = tmp_path / "f.sumf"
+        path.write_bytes(raw)
+        with pytest.raises(error, match=text) as from_load:
+            load(path)
+        with pytest.raises(error) as from_decode:
+            decode(raw)
+        assert type(from_decode.value) is type(from_load.value)
+        assert str(from_decode.value) == str(from_load.value)
 
 
 class TestAtomicSave:

@@ -1,10 +1,14 @@
 import argparse
 import json
 import math
+import re
+import shutil
 import struct
+import tempfile
 import time
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 from summatoria import cli as cli_mod
 from summatoria import series as series_mod
 from summatoria import verify as verify_mod
-from summatoria.cache import load
+from summatoria.cache import CHECKSUM_OFFSET, HEADER, fnv1a64, load
 from summatoria.cli import fmt12, main, parse_kind, parse_ladder, parse_limit
 from summatoria.kernels import KIND_BY_LABEL, FunctionKind, ValueTable, sieve_values
 from summatoria.moments import moment_scan, prime_adjacent_joint
@@ -255,6 +259,20 @@ class TestSumCommand:
         # "all" covers every later plan, so only the first run builds
         assert len(builds) == 1
         assert [p.name for p in cache.iterdir()] == [f"{kind}-series-1-3000.sumf"]
+
+    def test_stored_checkpoints_served_without_a_search(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        reports = []
+        for i in range(2):
+            out = tmp_path / f"r{i}.csv"
+            assert run_cli("sum", "--kind", "liouville", "--limit", "3000", "--ladder", "all",
+                           "--cache-dir", cache, output=out)[0] == 0
+            reports.append(out.read_bytes())
+            # the warm run asks for exactly the stored checkpoints and gets the stored series
+            monkeypatch.setattr(cli_mod.np, "searchsorted", lambda *a, **k: pytest.fail("searched"))
+        assert reports[0] == reports[1]
+        stored = load(cache / "liouville-series-1-3000.sumf")
+        assert cli_mod._restrict(stored, stored.ns.copy()) is stored
 
     def test_uncovered_plan_stores_the_union(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -572,6 +590,23 @@ class TestIntegerRows:
         text = "".join(cli_mod._report_rows(mixed, True, ["", ""], "\n"))
         assert text.splitlines()[-1] == f"{-(2**63)},{fmt12(-(2.0**63))}"
 
+    @pytest.mark.parametrize("k", range(19))
+    def test_every_power_of_ten_and_one_below(self, k, monkeypatch):
+        # a column of |v| < 2**31 is divided as int32, any other as uint64 (the INT64 row)
+        monkeypatch.setattr(cli_mod, "_INT_ROWS_MIN", 1)
+        edge = [10**k - 1, 10**k, 1 - 10**k, -(10**k)]
+        for col in ([edge] if 10**k < 2**31 else []) + [edge + [INT64]]:
+            col = np.array(col, dtype=np.int64)
+            assert "".join(cli_mod._report_rows((col,), True, [""], "\n")) == "\n".join(map(str, col.tolist()))
+
+    def test_a_step_boundary_in_a_report(self):
+        # 2**16 + 1 rows: one whole _int_rows step and a step of one row
+        ns = np.arange(1, cli_mod._INT_ROWS_PER_STEP + 2, dtype=np.int64)
+        sums = (ns * 7919) % 2001 - 1000
+        for prefixes, sep in ((["", ""], "\n"), (['\n      "n": ', '\n      "S": '], "\n    },\n    {")):
+            want = sep.join(f"{prefixes[0]}{n},{prefixes[1]}{s}" for n, s in zip(ns.tolist(), sums.tolist()))
+            assert "".join(cli_mod._report_rows((ns, sums), sep == "\n", prefixes, sep)) == want
+
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_either_side_of_the_row_threshold(self, fmt, monkeypatch, capsys):
@@ -705,6 +740,61 @@ class TestVerifyCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "criterion,name,status,measured"
         assert len(lines) == 11
+
+    def cache_integrity_row(self, tmp_path):
+        """Criterion 9's report row of a failing verify --limit 1000, the other rows checked to pass."""
+        out = tmp_path / "v.csv"
+        code, _ = run_cli("verify", "--limit", "1000", output=out)
+        assert code == 1
+        rows = out.read_text().splitlines()
+        assert all(",FAIL," not in row for row in rows[1:9] + rows[10:])
+        assert re.fullmatch(r'9,cache-integrity,FAIL,"round_trips=\d+/100 fuzz_detected=\d+/100"', rows[9])
+        return rows[9]
+
+    def test_flipped_payload_byte_on_write_fails_cache_integrity(self, tmp_path, monkeypatch):
+        real = verify_mod.save
+
+        def flipping(path, artifact):
+            real(path, artifact)
+            raw = bytearray(Path(path).read_bytes())
+            raw[HEADER.size] ^= 0x01
+            Path(path).write_bytes(bytes(raw))
+
+        monkeypatch.setattr(verify_mod, "save", flipping)
+        # the one table and the one series that go through a file fail their round trip
+        assert self.cache_integrity_row(tmp_path).endswith('"round_trips=98/100 fuzz_detected=100/100"')
+
+    def test_decode_without_its_checksum_compare_fails_cache_integrity(self, tmp_path, monkeypatch):
+        real = verify_mod.decode
+
+        def unchecked(buffer):
+            # rewrite the stored checksum to what the bytes hash to, so the compare never fails
+            raw = bytearray(buffer)
+            actual = fnv1a64(bytes(raw[HEADER.size:]), bytes(raw[:CHECKSUM_OFFSET]))
+            raw[CHECKSUM_OFFSET:HEADER.size] = actual.to_bytes(8, "little")
+            return real(raw)
+
+        monkeypatch.setattr(verify_mod, "decode", unchecked)
+        row = self.cache_integrity_row(tmp_path)
+        assert "round_trips=100/100" in row and "fuzz_detected=100/100" not in row
+
+    def test_load_returning_another_artifact_fails_cache_integrity(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify_mod, "load", lambda path: accumulate(FunctionKind.MOBIUS, 7))
+        assert self.cache_integrity_row(tmp_path).endswith('"round_trips=98/100 fuzz_detected=100/100"')
+
+    def test_cache_integrity_writes_two_files(self, tmp_path, monkeypatch):
+        # Creating and deleting a file per artifact slows every later pass on
+        # some filesystems, so only one table and one series go to disk.
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        monkeypatch.setattr(shutil, "rmtree", lambda *args, **kwargs: None)  # keep what it made
+        saved = []
+        real = verify_mod.save
+        monkeypatch.setattr(verify_mod, "save", lambda path, a: saved.append(type(a)) or real(path, a))
+        assert run_cli("verify", "--limit", "1000", output=tmp_path / "v.csv")[0] == 0
+        assert len(list(tmp.rglob("*"))) <= 4
+        assert sorted(t.__name__ for t in saved) == ["SummatorySeries", "ValueTable"]
 
 
 class TestExitCodes:

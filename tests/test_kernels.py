@@ -145,15 +145,17 @@ class TestOracleEquivalence:
 
 @pytest.fixture(scope="module")
 def scalar_counts():
-    """The scalar oracle's counts for every n <= 20000, in one batch."""
-    return counts_of(factor_oracle(n) for n in range(1, 20001))
+    """The scalar oracle's counts for every n <= 10**5, in one batch."""
+    return counts_of(factor_oracle(n) for n in range(1, 10**5 + 1))
 
 
 class TestTrialDivisionCounts:
     """The whole-array oracle against the scalar one, counts and values alike."""
 
-    EDGES = sorted({1, 2, 3, 4, 20000} | {p * p + e for p in (2, 3, 5, 7, 11, 97)
-                                          for e in (-1, 0, 1)})
+    # d*d - 1, d*d and d*d + 1 for the first trial divisors, where an entry
+    # first stays live for d
+    EDGES = sorted({1, 2, 3, 4, 20000, 10**5} | {p * p + e for p in (2, 3, 5, 7, 11, 13, 97)
+                                                 for e in (-1, 0, 1)})
 
     @pytest.mark.parametrize("n", EDGES)
     def test_matches_the_scalar_oracle(self, scalar_counts, n):
