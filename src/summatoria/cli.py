@@ -279,18 +279,18 @@ def _json(doc: dict, key: str, fields, columns):
     yield f"{close}\n  ]{tail}\n"
 
 
-def _try_cached_series(cache_dir, kind, limit, cps, threads):
-    """The series at checkpoints cps, through the cache directory if one is set.
+def _try_cached_series(cache_dir, kind, limit, plan, threads):
+    """The series at the checkpoint plan, through the cache directory if one is set.
 
-    A directory holds one series file per (kind, limit). Any checkpoint set
-    that file covers is served from it. Otherwise the union of its
-    checkpoints and cps is built and saved, so plans that alternate at one
-    limit stop overwriting each other's file.
+    A directory holds one series file per (kind, limit). A plan that file
+    covers is resolved here and served from it; otherwise accumulate builds
+    the plan, or its union with the file's points, and that is saved, so
+    plans that alternate at one limit stop overwriting each other's file.
     """
     if not cache_dir:
-        return accumulate(kind, limit, cps, threads=threads)
+        return accumulate(kind, limit, plan, threads=threads)
     path = Path(cache_dir) / series_filename(kind, limit)
-    plan = cps
+    cps = None
     if path.exists():
         try:
             stored = load(path)
@@ -298,6 +298,7 @@ def _try_cached_series(cache_dir, kind, limit, cps, threads):
             print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
         else:
             if isinstance(stored, SummatorySeries) and stored.kind is kind and stored.limit == limit:
+                cps = resolve_checkpoints(limit, plan)
                 served = _restrict(stored, cps)
                 if served is not None:
                     return served
@@ -306,7 +307,7 @@ def _try_cached_series(cache_dir, kind, limit, cps, threads):
                 print(f"warning: cache file {path} does not match, rebuilding", file=sys.stderr)
     series = accumulate(kind, limit, plan, threads=threads)
     save(path, series)
-    return _restrict(series, cps)
+    return series if cps is None else _restrict(series, cps)
 
 
 def _restrict(series: SummatorySeries, cps) -> SummatorySeries | None:
@@ -320,10 +321,10 @@ def _restrict(series: SummatorySeries, cps) -> SummatorySeries | None:
 
 
 def cmd_sieve(args) -> int:
+    if args.binary and not args.output:
+        raise DomainError("--binary needs --output")
     table = sieve_values(args.kind, args.lo, args.hi)
     if args.binary:
-        if not args.output:
-            raise DomainError("--binary needs --output")
         save(args.output, table)
         return 0
     if args.format == "csv":
@@ -335,9 +336,8 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_sum(args) -> int:
-    cps = resolve_checkpoints(args.limit, args.ladder)
     cache_dir = os.environ.get(ENV_CACHE_DIR) if args.cache_dir is None else args.cache_dir
-    series = _try_cached_series(cache_dir, args.kind, args.limit, cps, args.threads)
+    series = _try_cached_series(cache_dir, args.kind, args.limit, args.ladder, args.threads)
     columns = (series.ns, series.sums)
     if args.format == "csv":
         _emit(_csv(("n", "S"), columns), args.output)
@@ -362,6 +362,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    phi = SlowGrowthSpec.from_name(args.phi)
     plan = args.ladder
     if plan is None:
         plan = "all" if args.limit <= DENSE_SCAN_LIMIT else "geometric"
@@ -369,7 +370,6 @@ def cmd_scaling(args) -> int:
         series = change_points(args.kind, args.limit, threads=args.threads)
     else:
         series = accumulate(args.kind, args.limit, plan, threads=args.threads)
-    phi = SlowGrowthSpec.from_name(args.phi)
     fit = fit_exponent(ladder_samples(series, geometric_ladder(args.limit)))
     envelope = normalized_envelope(series)
     coverage = chebyshev_bound_coverage(series, phi)

@@ -186,10 +186,9 @@ def moment_scan(
 
     Raises:
         DomainError: limit < 1, segment_size < 1 or a malformed plan.
-        ResourceError: limit > DEFAULT_MAX_LIMIT, a plan of more than
-            MAX_CHECKPOINTS // 5 rows (checked before the walk, and before
-            a generated plan is built), or a float kind past the
-            exact-summation limit.
+        ResourceError: before the walk, limit > DEFAULT_MAX_LIMIT, a plan
+            of more than MAX_CHECKPOINTS // 5 rows (before a generated plan
+            is built), or a float kind past the exact-summation limit.
     """
     # A table row is 56 bytes and peaks at 80 while it is built, five times
     # a series row, so a table gets the same 1.6 GB budget as a series.

@@ -68,9 +68,10 @@ class SlowGrowthSpec:
 
     Menu names: "log", "log2" (squared logarithm), "loglog" (iterated
     logarithm, realized as log(1 + log n) so it stays positive from n = 2),
-    "const" or "const:C", and "pow:E" for n**E. The evaluator accepts
-    numpy arrays and Python scalars alike. Coverage needs phi positive and
-    nondecreasing for n >= 2, as every menu entry is.
+    "const" or "const:C", and "pow:E" for n**E, with C and E positive and
+    finite. The evaluator accepts numpy arrays and Python scalars alike.
+    Coverage needs phi positive, finite and nondecreasing for n >= 2, as
+    every menu entry is until n**E overflows float64.
     """
 
     name: str
@@ -89,6 +90,8 @@ class SlowGrowthSpec:
             number = float(arg) if arg else None
         except ValueError:
             raise DomainError(f"bad phi {name!r}: {arg!r} is not a number") from None
+        if number is not None and not math.isfinite(number):
+            raise DomainError(f"bad phi {name!r}: {arg!r} is not finite")
         if base == "const":
             c = 1.0 if number is None else number
             if not c > 0:
@@ -184,14 +187,18 @@ def normalized_envelope(series: Series) -> EnvelopeResult:
 def _bound(ns: np.ndarray, phi: SlowGrowthSpec) -> np.ndarray:
     """sqrt(n) * phi(n) at the float64 n of ns, in place of ns if it can.
 
+    An overflow reads as inf and is refused, not warned about.
+
     Raises:
-        DomainError: phi non-positive at one of ns.
+        DomainError: sqrt(n) * phi(n) not positive and finite (NaN included)
+            at one of ns.
     """
-    phi_vals = np.asarray(phi.evaluator(ns), dtype=np.float64)
-    if bool((phi_vals <= 0).any()):
-        raise DomainError(f"phi {phi.name!r} is non-positive on the checkpoint range")
-    bound = np.sqrt(ns, out=None if np.may_share_memory(ns, phi_vals) else ns)
-    bound *= phi_vals
+    with np.errstate(over="ignore"):
+        phi_vals = np.asarray(phi.evaluator(ns), dtype=np.float64)
+        bound = np.sqrt(ns, out=None if np.may_share_memory(ns, phi_vals) else ns)
+        bound *= phi_vals
+    if not (bound.min(initial=1.0) > 0 and bound.max(initial=1.0) < math.inf):  # NaN fails both
+        raise DomainError(f"phi {phi.name!r} is not positive and finite on the checkpoint range")
     return bound
 
 
@@ -207,7 +214,8 @@ def chebyshev_bound_coverage(series: Series, phi: SlowGrowthSpec) -> CoverageRep
     pointwise count either way.
 
     Raises:
-        DomainError: phi non-positive at a probed n, or no n >= 2.
+        DomainError: sqrt(n) * phi(n) not positive and finite at a probed n,
+            or no n >= 2.
     """
     lengths = series.run_lengths()
     # n = 1 leaves with its run if the run is n = 1 alone, else the run starts at 2.

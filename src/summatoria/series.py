@@ -44,7 +44,7 @@ from .kernels import FunctionKind, base_primes, sieve_terms, sieve_values
 
 #: Default sieve segment length for streaming accumulation.
 DEFAULT_SEGMENT = 1 << 22
-#: Refuse limits above this unless the caller raises the cap explicitly.
+#: The one series limit, read at each call: change the cap by setting this constant.
 DEFAULT_MAX_LIMIT = 10**9
 #: Refuse a ladder of more checkpoints than this: 1.6 GB of int64 n and S(n).
 MAX_CHECKPOINTS = 10**8
@@ -63,6 +63,8 @@ _BLOCK_BITS = 12
 _BLOCK = 1 << _BLOCK_BITS
 #: Powers per numpy block of a ratio ladder.
 _LADDER_BLOCK = 1 << 16
+#: Rows per block of the checks on a new SummatorySeries.
+_CHECK_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +90,15 @@ class SummatorySeries:
             raise DomainError("checkpoint positions and sums differ in length")
         if self.ns[0] < 1 or int(self.ns[-1]) != self.limit:
             raise DomainError("checkpoints must start at n >= 1 and end at limit")
-        if not bool((self.ns[1:] > self.ns[:-1]).all()):
-            raise DomainError("checkpoint positions must be strictly increasing")
-        if self.kind.is_integer_valued and bool((np.abs(self.sums) > self.ns).any()):
-            raise DomainError("|S(n)| <= n violated; accumulator is corrupt")
+        # A block of rows at a time, so that no temporary spans the series;
+        # each block's order check starts at the last row of the block before.
+        for lo in range(0, len(self.ns), _CHECK_BLOCK):
+            hi = lo + _CHECK_BLOCK
+            ns = self.ns[max(lo - 1, 0) : hi]
+            if not bool((ns[1:] > ns[:-1]).all()):
+                raise DomainError("checkpoint positions must be strictly increasing")
+            if self.kind.is_integer_valued and bool((np.abs(self.sums[lo:hi]) > self.ns[lo:hi]).any()):
+                raise DomainError("|S(n)| <= n violated; accumulator is corrupt")
         self.ns.setflags(write=False)
         self.sums.setflags(write=False)
 
@@ -186,11 +193,11 @@ def geometric_ladder(limit: int, ratio: float | None = None, *,
         j = end
 
 
-def _check_limit(limit: int, max_limit: int) -> None:
+def _check_limit(limit: int) -> None:
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
-    if limit > max_limit:
-        raise ResourceError(f"limit {limit} exceeds the configured maximum {max_limit}")
+    if limit > DEFAULT_MAX_LIMIT:
+        raise ResourceError(f"limit {limit} exceeds the configured maximum {DEFAULT_MAX_LIMIT}")
 
 
 def _check_every_n(limit: int, cap: int) -> None:
@@ -198,18 +205,17 @@ def _check_every_n(limit: int, cap: int) -> None:
         raise ResourceError(f"every n is {limit} checkpoints, above the cap of {cap}")
 
 
-def resolve_checkpoints(limit: int, plan=None, *, max_limit: int = DEFAULT_MAX_LIMIT,
-                        max_points: int | None = None) -> np.ndarray:
+def resolve_checkpoints(limit: int, plan=None, *, max_points: int | None = None) -> np.ndarray:
     """Turn a checkpoint plan into an ascending int64 array ending at limit.
 
     Accepted plans: None or "geometric" (default ladder), "all" (every n),
     a numeric ratio > 1, or an explicit iterable of positions. Explicit
     positions are resolved in numpy: one array with limit appended, sorted,
-    checked, cast to int64 and deduplicated. A limit above max_limit, or a
-    plan of more than max_points points (default MAX_CHECKPOINTS), raises
-    ResourceError; a generated plan raises it before any allocation.
+    checked, cast to int64 and deduplicated, once per walk. A limit above
+    DEFAULT_MAX_LIMIT, or more than max_points points (default MAX_CHECKPOINTS),
+    raises ResourceError; a generated plan raises it before any allocation.
     """
-    _check_limit(limit, max_limit)
+    _check_limit(limit)
     cap = MAX_CHECKPOINTS if max_points is None else max_points
     if plan is None or (isinstance(plan, str) and plan == "geometric"):
         return geometric_ladder(limit)
@@ -427,7 +433,6 @@ def accumulate(
     *,
     segment_size: int = DEFAULT_SEGMENT,
     threads: int = 1,
-    max_limit: int = DEFAULT_MAX_LIMIT,
 ) -> SummatorySeries:
     """Build S(n) = sum of f(k) for k <= n at the planned checkpoints.
 
@@ -437,9 +442,10 @@ def accumulate(
 
     Raises:
         DomainError: limit < 1, segment_size < 1 or a malformed plan.
-        ResourceError: limit > max_limit, or a float kind past _FLOAT_EXACT_LIMIT.
+        ResourceError: before the walk, limit > DEFAULT_MAX_LIMIT, a plan
+            over the checkpoint cap, or a float kind past _FLOAT_EXACT_LIMIT.
     """
-    cps = resolve_checkpoints(limit, checkpoint_plan, max_limit=max_limit)
+    cps = resolve_checkpoints(limit, checkpoint_plan)
     sums, _ = _prefix_sums(kind, cps, segment_size=segment_size, threads=threads)
     return SummatorySeries(kind, limit, cps, sums)
 
@@ -451,19 +457,18 @@ def change_points(
     *,
     segment_size: int = DEFAULT_SEGMENT,
     threads: int = 1,
-    max_limit: int = DEFAULT_MAX_LIMIT,
 ) -> ChangePointSeries:
     """S(n) at every n <= limit, held at its change points.
 
     The walk of accumulate(kind, limit, "all"), read out after each nonzero
     term of a segment instead of at each n, so every held value is
-    bit-identical to that series, and the same limits are refused.
+    bit-identical to that series, and the same limits are refused first.
 
     Raises:
         DomainError: limit < 1 or segment_size < 1.
-        ResourceError: limit > max_limit or above MAX_CHECKPOINTS.
+        ResourceError: limit > DEFAULT_MAX_LIMIT or above MAX_CHECKPOINTS.
     """
-    _check_limit(limit, max_limit)
+    _check_limit(limit)
     _check_every_n(limit, MAX_CHECKPOINTS)
     _check_walk(kind, limit, segment_size)
     integer = kind.is_integer_valued

@@ -49,7 +49,7 @@ from .kernels import FunctionKind, ValueTable, sieve_values, values_from_counts
 from .kernels import trial_division_counts as factor_oracle
 from .moments import lag_covariance, moment_scan, prime_adjacent_joint
 from .scaling import SlowGrowthSpec, chebyshev_bound_coverage, normalized_envelope
-from .series import accumulate
+from .series import accumulate, resolve_checkpoints
 
 FULL_SCALE = 10**6
 ORACLE_SCALE = 10**5
@@ -118,6 +118,7 @@ class _Suite:
     """Shared state for one verification run; each criterion returns (status, measured)."""
 
     def __init__(self, limit: int, threads: int, err):
+        self.ladder = resolve_checkpoints(limit)  # criterion 10's, first: a bad limit stops here
         self.limit = limit
         self.scale = min(limit, FULL_SCALE)
         self.full = limit >= FULL_SCALE
@@ -303,7 +304,7 @@ class _Suite:
             budget = BUDGET_LARGE_S
             envs = []
             for kind in (FunctionKind.MOBIUS, FunctionKind.LIOUVILLE):
-                series = accumulate(kind, self.limit, "geometric", threads=self.threads)
+                series = accumulate(kind, self.limit, self.ladder, threads=self.threads)
                 env = normalized_envelope(series)
                 envs.append(f"{kind.label}_ladder_max={fmt12(env.max_ratio)} "
                             f"{kind.label}_ladder_argmax={env.argmax_n}")

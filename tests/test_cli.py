@@ -23,7 +23,7 @@ from summatoria.cache import CHECKSUM_OFFSET, HEADER, fnv1a64, load
 from summatoria.cli import fmt12, main, parse_kind, parse_ladder, parse_limit
 from summatoria.kernels import KIND_BY_LABEL, FunctionKind, ValueTable, sieve_values
 from summatoria.moments import moment_scan, prime_adjacent_joint
-from summatoria.series import SummatorySeries, accumulate, resolve_checkpoints
+from summatoria.series import SummatorySeries, accumulate, geometric_ladder, resolve_checkpoints
 
 
 def run_cli(*argv, output=None):
@@ -54,6 +54,20 @@ def count_builds(monkeypatch):
 
     monkeypatch.setattr(cli_mod, "accumulate", counted)
     return builds
+
+
+def count_resolutions(monkeypatch):
+    """Record every plan resolved by resolve_checkpoints, from the series module or the CLI."""
+    plans = []
+    real = series_mod.resolve_checkpoints
+
+    def counted(*args, **kwargs):
+        plans.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(series_mod, "resolve_checkpoints", counted)
+    monkeypatch.setattr(cli_mod, "resolve_checkpoints", counted)
+    return plans
 
 
 class TestFmt12:
@@ -288,6 +302,46 @@ class TestSumCommand:
         stored = load(cache / "liouville-series-1-500.sumf")
         expect = np.union1d(resolve_checkpoints(500, "geometric"), [7, 11, 13])
         assert np.array_equal(stored.ns, expect)
+
+    @pytest.mark.parametrize("ladder", ["all", "geometric", "1.5"])
+    def test_each_plan_resolved_once(self, ladder, tmp_path, monkeypatch):
+        monkeypatch.delenv("SUMMATORIA_CACHE", raising=False)
+        argv = ["sum", "--kind", "mobius", "--limit", "3000", "--ladder", ladder]
+        assert run_cli(*argv, output=tmp_path / "ref.csv")[0] == 0
+        cache = tmp_path / "cache"
+        plans = count_resolutions(monkeypatch)
+        runs = [("no cache", argv, 1), ("miss", argv + ["--cache-dir", cache], 1),
+                ("hit", argv + ["--cache-dir", cache], 1)]
+        for i, (name, command, resolutions) in enumerate(runs):
+            out = tmp_path / f"r{i}.csv"
+            del plans[:]
+            assert run_cli(*command, output=out)[0] == 0
+            assert len(plans) == resolutions, name
+            assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
+
+    def test_partial_hit_resolves_the_plan_and_the_union(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        assert run_cli("sum", "--kind", "liouville", "--limit", "500", "--cache-dir", cache,
+                       output=tmp_path / "r.csv")[0] == 0
+        plans = count_resolutions(monkeypatch)
+        assert run_cli("sum", "--kind", "liouville", "--limit", "500", "--ladder", "7,11,13",
+                       "--cache-dir", cache, output=tmp_path / "r.csv")[0] == 0
+        assert plans[0] == [7, 11, 13]
+        assert np.array_equal(plans[1], np.concatenate((geometric_ladder(500), [7, 11, 13, 500])))
+        assert len(plans) == 2
+
+    def test_peak_memory_of_an_every_n_sum(self, tmp_path):
+        n = 10**6
+        argv = ["sum", "--kind", "mobius", "--limit", str(n), "--ladder", "all", "--threads", "1"]
+        run_cli(*argv, output=tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv, output=tmp_path / "r.csv")[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 49.0 B/n while the plan was resolved a second time inside accumulate.
+        assert peak <= 45 * n
 
     def test_version_1_cache_file_is_rebuilt(self, tmp_path, capsys):
         cache = tmp_path / "cache"
@@ -852,6 +906,30 @@ class TestExitCodes:
         monkeypatch.setattr(series_mod, "_ordered_segments", walk)
         assert main(argv) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["verify", "--limit", "2e9"], 3, "exceeds the configured maximum"),
+        (["scaling", "--kind", "liouville", "--limit", "1e9", "--phi", "bogus"], 2, "unknown phi name"),
+        (["sieve", "--kind", "mobius", "--hi", "6e7", "--binary"], 2, "--binary needs --output"),
+    ], ids=["verify", "scaling", "sieve"])
+    def test_inputs_refused_before_the_walk(self, argv, code, message, monkeypatch, capsys):
+        def reached(*args, **kwargs):
+            raise AssertionError("walked or sieved before checking the inputs")
+
+        monkeypatch.setattr(verify_mod, "sieve_values", reached)
+        monkeypatch.setattr(series_mod, "_ordered_segments", reached)
+        monkeypatch.setattr(cli_mod, "sieve_values", reached)
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["liouville", "psi"])
+    @pytest.mark.parametrize("phi", ["const:inf", "pow:inf", "pow:1000"])
+    def test_phi_not_positive_and_finite_exits_two(self, phi, kind, capsys):
+        """No report, and no numpy overflow warning, which pytest would raise here."""
+        assert main(["scaling", "--kind", kind, "--limit", "1000", "--phi", phi]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [
         ["stats", "--kind", "mobius", "--limit", "100"],

@@ -130,6 +130,11 @@ class TestSlowGrowth:
         with pytest.raises(DomainError):
             SlowGrowthSpec.from_name("pow")
 
+    @pytest.mark.parametrize("name", ["const:inf", "pow:inf", "const:nan", "pow:-inf"])
+    def test_numbers_must_be_finite(self, name):
+        with pytest.raises(DomainError, match="bad phi"):
+            SlowGrowthSpec.from_name(name)
+
 
 class TestCoverage:
     def test_zero_series_full_coverage(self):
@@ -162,6 +167,21 @@ class TestCoverage:
         bad = SlowGrowthSpec("bad", lambda n: np.zeros_like(np.asarray(n, dtype=float)))
         with pytest.raises(DomainError):
             chebyshev_bound_coverage(series, bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_phi_not_positive_and_finite_rejected(self, value):
+        spec = SlowGrowthSpec("bad", lambda n: np.where(np.asarray(n) < 5, 1.0, value))
+        for series in (accumulate(FunctionKind.MOBIUS, 100, "all"), change_points(FunctionKind.MOBIUS, 100)):
+            with pytest.raises(DomainError, match="not positive and finite"):
+                chebyshev_bound_coverage(series, spec)
+
+    def test_overflowing_power_rejected_without_a_warning(self):
+        """3**1000 overflows float64; pytest turns a numpy overflow warning into an error."""
+        spec = SlowGrowthSpec.from_name("pow:1000")
+        for series in (accumulate(FunctionKind.LIOUVILLE, 100, "all"),
+                       change_points(FunctionKind.CHEBYSHEV_PSI_TERM, 100)):
+            with pytest.raises(DomainError, match="not positive and finite"):
+                chebyshev_bound_coverage(series, spec)
 
 
 def reference_envelope(series):

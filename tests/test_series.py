@@ -47,9 +47,11 @@ class TestAccumulateExamples:
         s = accumulate(FunctionKind.MOBIUS, 1)
         assert (s.ns.tolist(), s.sums.tolist()) == ([1], [1])
 
-    def test_limit_cap(self):
-        with pytest.raises(ResourceError):
-            accumulate(FunctionKind.MOBIUS, 101, max_limit=100)
+    def test_limit_cap(self, monkeypatch):
+        monkeypatch.setattr(series_mod, "DEFAULT_MAX_LIMIT", 100)
+        assert accumulate(FunctionKind.MOBIUS, 100).ns[-1] == 100
+        with pytest.raises(ResourceError, match="limit 101 exceeds the configured maximum 100"):
+            accumulate(FunctionKind.MOBIUS, 101)
 
 
 class TestChangePoints:
@@ -65,13 +67,15 @@ class TestChangePoints:
         assert runs.ns.tolist()[-3:] == [83, 89, 97]
 
     def test_refuses_what_accumulate_refuses(self, monkeypatch):
-        for kwargs, error in (({"limit": 0}, DomainError), ({"limit": 101, "max_limit": 100}, ResourceError),
+        monkeypatch.setattr(series_mod, "DEFAULT_MAX_LIMIT", 100)
+        for kwargs, error in (({"limit": 0}, DomainError), ({"limit": 101}, ResourceError),
                               ({"limit": 10, "segment_size": 0}, DomainError)):
             with pytest.raises(error) as ours:
                 change_points(FunctionKind.MOBIUS, **kwargs)
             with pytest.raises(error) as every_n:
                 accumulate(FunctionKind.MOBIUS, checkpoint_plan="all", **kwargs)
             assert str(ours.value) == str(every_n.value)
+        monkeypatch.undo()
         monkeypatch.setattr(series_mod, "MAX_CHECKPOINTS", 1000)
         assert len(change_points(FunctionKind.LIOUVILLE, 1000)) == 1000
         with pytest.raises(ResourceError, match="every n is 1001 checkpoints, above the cap of 1000"):
@@ -165,12 +169,13 @@ class TestLadder:
         with pytest.raises(ResourceError):
             geometric_ladder(10**6, 1.001)  # 500 points below 500, then about 7600 powers
 
-    def test_limit_cap_before_the_ladder(self):
-        assert resolve_checkpoints(100, "all", max_limit=100)[-1] == 100
-        with pytest.raises(ResourceError):
-            resolve_checkpoints(101, "all", max_limit=100)
+    def test_limit_cap_before_the_ladder(self, monkeypatch):
         with pytest.raises(ResourceError):
             resolve_checkpoints(DEFAULT_MAX_LIMIT + 1)
+        monkeypatch.setattr(series_mod, "DEFAULT_MAX_LIMIT", 100)
+        assert resolve_checkpoints(100, "all")[-1] == 100
+        with pytest.raises(ResourceError):
+            resolve_checkpoints(101, "all")
 
 
 def set_resolved(limit, plan):
@@ -271,6 +276,36 @@ class TestSeriesInvariants:
         sums = np.array([1, 9], dtype=np.int64)
         with pytest.raises(DomainError):
             SummatorySeries(FunctionKind.MOBIUS, 5, ns, sums)
+
+    BLOCK = series_mod._CHECK_BLOCK
+
+    @pytest.mark.parametrize("row", [BLOCK, BLOCK - 1, 4 * BLOCK - 1],
+                             ids=["block-first-row", "block-last-row", "last-row"])
+    def test_blockwise_checks_catch_a_fault_at_any_row(self, row):
+        """Row BLOCK repeating row BLOCK - 1 is out of order only across the block boundary."""
+        n = 4 * self.BLOCK
+        ns, sums = np.arange(1, n + 1), np.zeros(n, dtype=np.int64)
+        SummatorySeries(FunctionKind.MOBIUS, n, ns.copy(), sums.copy())
+        repeated = ns.copy()
+        repeated[row] = repeated[row - 1]
+        with pytest.raises(DomainError, match="strictly increasing"):
+            SummatorySeries(FunctionKind.MOBIUS, int(repeated[-1]), repeated, sums.copy())
+        too_big = sums.copy()
+        too_big[row] = -ns[row] - 1
+        with pytest.raises(DomainError, match="accumulator is corrupt"):
+            SummatorySeries(FunctionKind.MOBIUS, n, ns.copy(), too_big)
+
+    def test_checks_allocate_a_block_not_the_series(self):
+        n = 4 * self.BLOCK
+        ns, sums = np.arange(1, n + 1), np.zeros(n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            SummatorySeries(FunctionKind.MOBIUS, n, ns, sums)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Whole-series temporaries peaked at 37.7 MB; a block of checks takes 9.4 MB.
+        assert peak <= 16 * 2**20
 
 
 class TestPrefixAdditivity:
@@ -538,8 +573,9 @@ class TestDeterminism:
             raise AssertionError(f"sieved the primes up to {limit}")
 
         monkeypatch.setattr(kernels, "primes_upto", refuse)
+        monkeypatch.setattr(series_mod, "DEFAULT_MAX_LIMIT", 2**53)
         with pytest.raises(ResourceError):
-            accumulate(FunctionKind.MOBIUS, 2**53, [1], max_limit=2**53)
+            accumulate(FunctionKind.MOBIUS, 2**53, [1])
 
 
 class TestFloatAccuracy:
@@ -601,7 +637,8 @@ class TestFloatExactRange:
 
     @pytest.mark.parametrize("kind", [FunctionKind.CHEBYSHEV_PSI_TERM,
                                       FunctionKind.CHEBYSHEV_THETA_TERM], ids=lambda k: k.label)
-    def test_float_kinds_refuse_beyond_the_limit(self, kind):
+    def test_float_kinds_refuse_beyond_the_limit(self, kind, monkeypatch):
         limit = _FLOAT_EXACT_LIMIT + 1
-        with pytest.raises(ResourceError):
-            accumulate(kind, limit, max_limit=limit)
+        monkeypatch.setattr(series_mod, "DEFAULT_MAX_LIMIT", limit)
+        with pytest.raises(ResourceError, match="exact only up to"):
+            accumulate(kind, limit)
