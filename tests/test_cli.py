@@ -310,13 +310,11 @@ class TestSumCommand:
         assert run_cli(*argv, output=tmp_path / "ref.csv")[0] == 0
         cache = tmp_path / "cache"
         plans = count_resolutions(monkeypatch)
-        runs = [("no cache", argv, 1), ("miss", argv + ["--cache-dir", cache], 1),
-                ("hit", argv + ["--cache-dir", cache], 1)]
-        for i, (name, command, resolutions) in enumerate(runs):
-            out = tmp_path / f"r{i}.csv"
+        for name, extra in (("no cache", []), ("miss", ["--cache-dir", cache]), ("hit", ["--cache-dir", cache])):
+            out = tmp_path / f"{name}.csv"
             del plans[:]
-            assert run_cli(*command, output=out)[0] == 0
-            assert len(plans) == resolutions, name
+            assert run_cli(*argv, *extra, output=out)[0] == 0
+            assert len(plans) == 1, name
             assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
 
     def test_partial_hit_resolves_the_plan_and_the_union(self, tmp_path, monkeypatch):
