@@ -34,6 +34,7 @@ load reads the whole file and decodes it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import struct
@@ -148,6 +149,25 @@ def decode(buffer) -> ValueTable | SummatorySeries:
         raise CorruptionError(f"series rejected: {exc}") from exc
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "xb", **open_args):
+    """A new temporary file beside path, open in mode, that replaces path when the block ends.
+
+    The file is created on entry, so a directory that cannot be written to
+    fails before the block runs. If the block raises, the file is removed
+    and path is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save(path, artifact: ValueTable | SummatorySeries) -> None:
     """Write one artifact to path as encode gives it, the header then the payload.
 
@@ -157,15 +177,9 @@ def save(path, artifact: ValueTable | SummatorySeries) -> None:
     header, payload = encode(artifact)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(header)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path) as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
 def load(path) -> ValueTable | SummatorySeries:
@@ -173,6 +187,18 @@ def load(path) -> ValueTable | SummatorySeries:
     return decode(Path(path).read_bytes())
 
 
-def series_filename(kind: FunctionKind, limit: int) -> str:
-    """Cache filename of the series of kind up to limit, whatever its checkpoints."""
-    return f"{kind.label}-series-1-{limit}.sumf"
+def series_filename(kind: FunctionKind, limit: int, plan) -> str:
+    """Cache filename of the series of kind up to limit at the checkpoint plan, one per plan.
+
+    "geometric", "all" and a ratio are named as given, without resolving the
+    plan; an explicit list by a BLAKE2b-64 digest of its sorted distinct
+    positions with the limit, so lists that resolve alike share one file.
+    """
+    if isinstance(plan, str):
+        tag = plan
+    elif isinstance(plan, (int, float)):
+        tag = f"ratio-{float(plan)!r}"
+    else:
+        points = ",".join(map(str, sorted({*map(int, plan), limit})))
+        tag = "list-" + hashlib.blake2b(points.encode(), digest_size=8).hexdigest()
+    return f"{kind.label}-series-1-{limit}-{tag}.sumf"

@@ -12,6 +12,7 @@ time-dependent in the report stream (timings go to stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .cache import ENV_CACHE_DIR, load, save, series_filename
+from .cache import ENV_CACHE_DIR, load, replacing, save, series_filename
 from .errors import DomainError, ResourceError, SummatoriaError
 from .kernels import KIND_BY_LABEL, FunctionKind, sieve_values
 from .moments import MomentTable, moment_scan, prime_adjacent_joint
@@ -137,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder", type=parse_ladder, default="geometric",
                    help="geometric | all | ratio | n1,n2,...")
     p.add_argument("--cache-dir",
-                   help=f"series cache directory (default: ${ENV_CACHE_DIR} if set)")
+                   help="series cache directory, one file per kind, limit and ladder, "
+                        f"each read only by its own ladder (default: ${ENV_CACHE_DIR} if set)")
     common(p)
 
     p = sub.add_parser("stats", help="moment statistics at checkpoints")
@@ -159,13 +161,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(pieces, output) -> None:
-    """Write the report text, an iterable of str, to stdout or output as it comes."""
-    if output is None:
-        sys.stdout.writelines(pieces)
+@contextlib.contextmanager
+def _report_stream(args):
+    """Where the command writes its report: stdout, or a file that replaces --output.
+
+    The file is made beside --output before the command walks, so an output
+    that cannot be written exits 2 at once; it replaces --output in one
+    rename when the command returns, and is removed if it raises, leaving
+    --output as it was. A target that exists but is not a regular file,
+    such as /dev/null, is written in place. sieve --binary writes --output
+    itself, with save.
+    """
+    if args.output is None or getattr(args, "binary", False):
+        yield sys.stdout
+    elif os.path.exists(args.output) and not os.path.isfile(args.output):
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
     else:
-        with open(output, "w", encoding="utf-8", newline="\n") as f:
-            f.writelines(pieces)
+        with replacing(os.path.realpath(args.output), "x", encoding="utf-8", newline="\n") as fh:
+            yield fh
 
 
 def _digits(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,45 +296,30 @@ def _json(doc: dict, key: str, fields, columns):
 def _try_cached_series(cache_dir, kind, limit, plan, threads):
     """The series at the checkpoint plan, through the cache directory if one is set.
 
-    A directory holds one series file per (kind, limit). A plan that file
-    covers is resolved here and served from it; otherwise accumulate builds
-    the plan, or its union with the file's points, and that is saved, so
-    plans that alternate at one limit stop overwriting each other's file.
+    A directory holds one series file per kind, limit and plan
+    (series_filename). The file is served only if its kind, limit and
+    checkpoints equal what the plan resolves to; otherwise, or if it is
+    missing or unreadable, accumulate builds the plan and the file is saved.
     """
     if not cache_dir:
         return accumulate(kind, limit, plan, threads=threads)
-    path = Path(cache_dir) / series_filename(kind, limit)
-    cps = None
+    path = Path(cache_dir) / series_filename(kind, limit, plan)
     if path.exists():
         try:
             stored = load(path)
         except SummatoriaError as exc:
             print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
         else:
-            if isinstance(stored, SummatorySeries) and stored.kind is kind and stored.limit == limit:
-                cps = resolve_checkpoints(limit, plan)
-                served = _restrict(stored, cps)
-                if served is not None:
-                    return served
-                plan = np.concatenate((stored.ns, cps))
-            else:
-                print(f"warning: cache file {path} does not match, rebuilding", file=sys.stderr)
+            if (isinstance(stored, SummatorySeries) and stored.kind is kind and stored.limit == limit
+                    and np.array_equal(stored.ns, resolve_checkpoints(limit, plan))):
+                return stored
+            print(f"warning: cache file {path} does not match, rebuilding", file=sys.stderr)
     series = accumulate(kind, limit, plan, threads=threads)
     save(path, series)
-    return series if cps is None else _restrict(series, cps)
+    return series
 
 
-def _restrict(series: SummatorySeries, cps) -> SummatorySeries | None:
-    """series at exactly the checkpoints cps, or None if it lacks one of them."""
-    if len(cps) == len(series.ns) and np.array_equal(series.ns, cps):
-        return series
-    idx = np.minimum(np.searchsorted(series.ns, cps), len(series.ns) - 1)
-    if not np.array_equal(series.ns[idx], cps):
-        return None
-    return SummatorySeries(series.kind, series.limit, series.ns[idx], series.sums[idx])
-
-
-def cmd_sieve(args) -> int:
+def cmd_sieve(args, out) -> int:
     if args.binary and not args.output:
         raise DomainError("--binary needs --output")
     table = sieve_values(args.kind, args.lo, args.hi)
@@ -328,26 +327,26 @@ def cmd_sieve(args) -> int:
         save(args.output, table)
         return 0
     if args.format == "csv":
-        _emit(_csv(("k", "f"), (np.arange(table.lo, table.hi + 1), table.values)), args.output)
+        out.writelines(_csv(("k", "f"), (np.arange(table.lo, table.hi + 1), table.values)))
     else:
         doc = {"kind": table.kind.label, "lo": table.lo, "hi": table.hi, "values": None}
-        _emit(_json(doc, "values", None, (table.values,)), args.output)
+        out.writelines(_json(doc, "values", None, (table.values,)))
     return 0
 
 
-def cmd_sum(args) -> int:
+def cmd_sum(args, out) -> int:
     cache_dir = os.environ.get(ENV_CACHE_DIR) if args.cache_dir is None else args.cache_dir
     series = _try_cached_series(cache_dir, args.kind, args.limit, args.ladder, args.threads)
     columns = (series.ns, series.sums)
     if args.format == "csv":
-        _emit(_csv(("n", "S"), columns), args.output)
+        out.writelines(_csv(("n", "S"), columns))
     else:
         doc = {"kind": series.kind.label, "limit": series.limit, "checkpoints": None}
-        _emit(_json(doc, "checkpoints", ("n", "S"), columns), args.output)
+        out.writelines(_json(doc, "checkpoints", ("n", "S"), columns))
     return 0
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args, out) -> int:
     table = moment_scan(args.kind, args.limit, args.ladder, threads=args.threads)
     doc, footer = {"kind": args.kind.label, "limit": args.limit, "reports": None}, []
     if args.kind is FunctionKind.PRIME_INDICATOR and args.limit >= 5:
@@ -355,13 +354,13 @@ def cmd_stats(args) -> int:
         doc["prime_adjacent"] = adjacent._asdict()
         footer.append(f"# prime_adjacent joint={fmt12(adjacent.joint)} product={fmt12(adjacent.product)}")
     if args.format == "csv":
-        _emit(_csv(_STATS_FIELDS, table[1:], *footer), args.output)
+        out.writelines(_csv(_STATS_FIELDS, table[1:], *footer))
     else:
-        _emit(_json(doc, "reports", _STATS_FIELDS, table[1:]), args.output)
+        out.writelines(_json(doc, "reports", _STATS_FIELDS, table[1:]))
     return 0
 
 
-def cmd_scaling(args) -> int:
+def cmd_scaling(args, out) -> int:
     phi = SlowGrowthSpec.from_name(args.phi)
     plan = args.ladder
     if plan is None:
@@ -391,16 +390,16 @@ def cmd_scaling(args) -> int:
     }
     if args.format == "csv":
         cells = (fmt12(v) if isinstance(v, float) else v for v in doc.values())
-        _emit(["key,value\n", *map("{},{}\n".format, doc, cells)], args.output)
+        out.writelines(["key,value\n", *map("{},{}\n".format, doc, cells)])
     else:
-        _emit([json.dumps(doc, indent=2), "\n"], args.output)
+        out.writelines([json.dumps(doc, indent=2), "\n"])
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     outcome = verify_mod.run_suite(limit=args.limit, threads=args.threads, err=sys.stderr)
     render = verify_mod.render_csv if args.format == "csv" else verify_mod.render_json
-    _emit([render(outcome)], args.output)
+    out.write(render(outcome))
     return 0 if outcome.all_passed else 1
 
 
@@ -420,7 +419,8 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        with _report_stream(args) as out:
+            return handlers[args.command](args, out)
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -325,7 +326,20 @@ class TestCorruption:
 
 class TestNamesAndDirs:
     def test_artifact_filenames(self):
-        assert series_filename(FunctionKind.LIOUVILLE, 100) == "liouville-series-1-100.sumf"
+        name = "liouville-series-1-100-{}.sumf".format
+        assert series_filename(FunctionKind.LIOUVILLE, 100, "geometric") == name("geometric")
+        assert series_filename(FunctionKind.LIOUVILLE, 100, "all") == name("all")
+        assert series_filename(FunctionKind.LIOUVILLE, 100, 1.5) == name("ratio-1.5")
+        assert series_filename(FunctionKind.LIOUVILLE, 100, 2) == name("ratio-2.0")
+        # a list is named by its sorted distinct positions with the limit
+        listed = series_filename(FunctionKind.LIOUVILLE, 100, [7, 11, 13])
+        assert re.fullmatch(r"liouville-series-1-100-list-[0-9a-f]{16}\.sumf", listed)
+        assert series_filename(FunctionKind.LIOUVILLE, 100, [13, 100, 11, 7, 7]) == listed
+        assert series_filename(FunctionKind.LIOUVILLE, 100, np.array([11, 7, 13])) == listed
+        assert series_filename(FunctionKind.LIOUVILLE, 100, [7, 11]) != listed
+        # the limit is one of the positions, so the digest changes with it
+        other = series_filename(FunctionKind.LIOUVILLE, 200, [7, 11, 13])
+        assert other.rsplit("-", 1)[1] != listed.rsplit("-", 1)[1]
 
     def test_unsupported_artifact_rejected(self, tmp_path):
         with pytest.raises(DomainError):

@@ -1,10 +1,13 @@
 import argparse
 import json
 import math
+import os
 import re
 import shutil
+import stat
 import struct
 import tempfile
+import threading
 import time
 import tracemalloc
 from importlib import resources
@@ -54,6 +57,19 @@ def count_builds(monkeypatch):
 
     monkeypatch.setattr(cli_mod, "accumulate", counted)
     return builds
+
+
+def record_loads(monkeypatch):
+    """Record the path of every file the CLI loads."""
+    paths = []
+    real = cli_mod.load
+
+    def recorded(path):
+        paths.append(Path(path))
+        return real(path)
+
+    monkeypatch.setattr(cli_mod, "load", recorded)
+    return paths
 
 
 def count_resolutions(monkeypatch):
@@ -233,7 +249,7 @@ class TestSumCommand:
         code, _ = run_cli("sum", "--kind", "liouville", "--limit", "5000",
                           "--cache-dir", cache, output=out1)
         assert code == 0
-        cached = cache / "liouville-series-1-5000.sumf"
+        cached = cache / "liouville-series-1-5000-geometric.sumf"
         assert cached.exists()
 
         out2 = tmp_path / "r2.csv"
@@ -254,7 +270,7 @@ class TestSumCommand:
 
 
     @pytest.mark.parametrize("kind", ["mobius", "psi"])
-    def test_alternating_plans_share_one_series_file(self, kind, tmp_path, monkeypatch):
+    def test_each_plan_builds_its_own_file_once(self, kind, tmp_path, monkeypatch):
         plans = ("all", "geometric", "all", "1.5", "geometric")
         expect = {}
         for plan in set(plans):
@@ -265,14 +281,17 @@ class TestSumCommand:
 
         builds = count_builds(monkeypatch)
         cache = tmp_path / "cache"
-        for i, plan in enumerate(plans):
-            out = tmp_path / f"run-{i}.csv"
-            assert run_cli("sum", "--kind", kind, "--limit", "3000", "--ladder", plan,
-                           "--cache-dir", cache, output=out)[0] == 0
-            assert out.read_bytes() == expect[plan], plan
-        # "all" covers every later plan, so only the first run builds
-        assert len(builds) == 1
-        assert [p.name for p in cache.iterdir()] == [f"{kind}-series-1-3000.sumf"]
+        for round_ in range(2):
+            for i, plan in enumerate(plans):
+                out = tmp_path / f"run-{round_}-{i}.csv"
+                assert run_cli("sum", "--kind", kind, "--limit", "3000", "--ladder", plan,
+                               "--cache-dir", cache, output=out)[0] == 0
+                assert out.read_bytes() == expect[plan], plan
+            # each plan builds on its first run only, and no plan overwrites another's file
+            assert len(builds) == 3, round_
+        assert sorted(p.name for p in cache.iterdir()) == [
+            f"{kind}-series-1-3000-{tag}.sumf" for tag in ("all", "geometric", "ratio-1.5")
+        ]
 
     def test_stored_checkpoints_served_without_a_search(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -285,23 +304,56 @@ class TestSumCommand:
             # the warm run asks for exactly the stored checkpoints and gets the stored series
             monkeypatch.setattr(cli_mod.np, "searchsorted", lambda *a, **k: pytest.fail("searched"))
         assert reports[0] == reports[1]
-        stored = load(cache / "liouville-series-1-3000.sumf")
-        assert cli_mod._restrict(stored, stored.ns.copy()) is stored
 
-    def test_uncovered_plan_stores_the_union(self, tmp_path, monkeypatch):
+    def test_lists_that_resolve_alike_share_one_file(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         builds = count_builds(monkeypatch)
-        for plan in ("geometric", "7,11,13", "geometric", "11,7"):
+        assert run_cli("sum", "--kind", "liouville", "--limit", "500", "--cache-dir", cache,
+                       output=tmp_path / "r.csv")[0] == 0
+        geometric = cache / "liouville-series-1-500-geometric.sumf"
+        before = geometric.read_bytes()
+        want = accumulate(FunctionKind.LIOUVILLE, 500, [7, 11, 13])
+        loaded = record_loads(monkeypatch)
+        for plan in ("7,11,13", "13,11,7,7"):
             assert run_cli("sum", "--kind", "liouville", "--limit", "500", "--ladder", plan,
                            "--cache-dir", cache, output=tmp_path / "r.csv")[0] == 0
-            want = accumulate(FunctionKind.LIOUVILLE, 500, parse_ladder(plan))
             assert (tmp_path / "r.csv").read_text().splitlines()[1:] == [
                 f"{n},{s}" for n, s in zip(want.ns.tolist(), want.sums.tolist())
             ]
         assert len(builds) == 2
-        stored = load(cache / "liouville-series-1-500.sumf")
-        expect = np.union1d(resolve_checkpoints(500, "geometric"), [7, 11, 13])
-        assert np.array_equal(stored.ns, expect)
+        assert len(list(cache.iterdir())) == 2
+        assert geometric.read_bytes() == before
+        assert geometric not in loaded and len(loaded) == 1
+
+    def test_sparse_plan_never_reads_the_every_n_file(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        argv = ["sum", "--kind", "mobius", "--limit", "5000", "--cache-dir", cache]
+        assert run_cli(*argv, "--ladder", "all", output=tmp_path / "all.csv")[0] == 0
+        every_n = cache / "mobius-series-1-5000-all.sumf"
+        loaded = record_loads(monkeypatch)
+        for _ in range(2):
+            assert run_cli(*argv, output=tmp_path / "r.csv")[0] == 0
+        assert loaded == [cache / "mobius-series-1-5000-geometric.sumf"]
+        assert every_n not in loaded
+        want = accumulate(FunctionKind.MOBIUS, 5000, "geometric")
+        assert (tmp_path / "r.csv").read_text().splitlines()[1:] == [
+            f"{n},{s}" for n, s in zip(want.ns.tolist(), want.sums.tolist())
+        ]
+
+    def test_file_that_does_not_match_its_name_is_rebuilt(self, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "cache"
+        argv = ["sum", "--kind", "psi", "--limit", "3000", "--cache-dir", cache]
+        assert run_cli(*argv, "--ladder", "1.5", output=tmp_path / "ref.csv")[0] == 0
+        ratio = cache / "psi-series-1-3000-ratio-1.5.sumf"
+        assert run_cli(*argv, output=tmp_path / "r.csv")[0] == 0
+        shutil.copyfile(cache / "psi-series-1-3000-geometric.sumf", ratio)
+        capsys.readouterr()
+        builds = count_builds(monkeypatch)
+        assert run_cli(*argv, "--ladder", "1.5", output=tmp_path / "r.csv")[0] == 0
+        assert f"warning: cache file {ratio} does not match, rebuilding" in capsys.readouterr().err
+        assert len(builds) == 1
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert np.array_equal(load(ratio).ns, resolve_checkpoints(3000, 1.5))
 
     @pytest.mark.parametrize("ladder", ["all", "geometric", "1.5"])
     def test_each_plan_resolved_once(self, ladder, tmp_path, monkeypatch):
@@ -316,17 +368,6 @@ class TestSumCommand:
             assert run_cli(*argv, *extra, output=out)[0] == 0
             assert len(plans) == 1, name
             assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
-
-    def test_partial_hit_resolves_the_plan_and_the_union(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        assert run_cli("sum", "--kind", "liouville", "--limit", "500", "--cache-dir", cache,
-                       output=tmp_path / "r.csv")[0] == 0
-        plans = count_resolutions(monkeypatch)
-        assert run_cli("sum", "--kind", "liouville", "--limit", "500", "--ladder", "7,11,13",
-                       "--cache-dir", cache, output=tmp_path / "r.csv")[0] == 0
-        assert plans[0] == [7, 11, 13]
-        assert np.array_equal(plans[1], np.concatenate((geometric_ladder(500), [7, 11, 13, 500])))
-        assert len(plans) == 2
 
     def test_peak_memory_of_an_every_n_sum(self, tmp_path):
         n = 10**6
@@ -346,7 +387,7 @@ class TestSumCommand:
         out1 = tmp_path / "r1.csv"
         assert run_cli("sum", "--kind", "theta", "--limit", "4000",
                        "--cache-dir", cache, output=out1)[0] == 0
-        cached = cache / "theta-series-1-4000.sumf"
+        cached = cache / "theta-series-1-4000-geometric.sumf"
         raw = bytearray(cached.read_bytes())
         struct.pack_into("<I", raw, 4, 1)  # a file written by format version 1
         cached.write_bytes(bytes(raw))
@@ -365,7 +406,7 @@ class TestSumCommand:
         monkeypatch.setenv("SUMMATORIA_CACHE", str(cache))
         assert run_cli("sum", "--kind", "mobius", "--limit", "100",
                        output=tmp_path / "r.csv")[0] == 0
-        assert [p.name for p in cache.iterdir()] == ["mobius-series-1-100.sumf"]
+        assert [p.name for p in cache.iterdir()] == ["mobius-series-1-100-geometric.sumf"]
 
 
 class TestStatsCommand:
@@ -967,6 +1008,63 @@ class TestExitCodes:
         assert main(["sum", "--kind", "mobius", "--limit", "100", "--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    def test_unwritable_output_refused_before_the_walk(self, tmp_path, monkeypatch, capsys):
+        def reached(*args, **kwargs):
+            raise AssertionError("walked before opening the output")
+
+        monkeypatch.setattr(series_mod, "_ordered_segments", reached)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["sum", "--kind", "mobius", "--limit", "1e9", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fault", ["resource limit", "write error", "any error"])
+    def test_failed_command_keeps_the_output_file(self, fault, tmp_path, monkeypatch):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"old report\n")
+        argv = ["sum", "--kind", "mobius", "--limit", "5000", "--ladder", "all", "--output", str(out)]
+        if fault == "resource limit":
+            argv[4] = "2e9"
+        else:
+            real = cli_mod._report_rows
+            error = OSError("disk full") if fault == "write error" else RuntimeError("broken")
+
+            def failing(*args):
+                yield next(real(*args))  # after the header, part-way through the report
+                raise error
+
+            monkeypatch.setattr(cli_mod, "_report_rows", failing)
+        if fault == "any error":
+            with pytest.raises(RuntimeError, match="broken"):
+                main(argv)
+        else:
+            assert main(argv) == (3 if fault == "resource limit" else 2)
+        assert out.read_bytes() == b"old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_report_replaces_the_target_of_a_symlink(self, tmp_path):
+        target = tmp_path / "x.csv"
+        target.write_bytes(b"old report\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["sum", "--kind", "mobius", "--limit", "4", "--ladder", "all",
+                     "--output", str(link)]) == 0
+        assert link.is_symlink() and target.read_text() == "n,S\n1,1\n2,0\n3,-1\n4,-1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "x.csv"]
+
+    def test_output_that_is_not_a_regular_file_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["sum", "--kind", "mobius", "--limit", "4", "--ladder", "all",
+                     "--output", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert got == [b"n,S\n1,1\n2,0\n3,-1\n4,-1\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
