@@ -26,10 +26,10 @@ fields as well as the payload, a changed byte anywhere in the file is an
 integrity error. Version 1 files (FNV-1a over the payload only) fail the
 version check.
 
-save and load are the codec's file wrappers. save writes the header and the
-payload to a temporary file next to the target and renames it into place,
-so a reader sees either the old file or the new one, never a partial write;
-load reads the whole file and decodes it.
+save and load are the codec's file wrappers. save writes through replacing,
+which renames a temporary file over the target, so a reader sees either the
+old file or the new one, never a partial write; load reads the whole file
+and decodes it.
 """
 
 from __future__ import annotations
@@ -151,18 +151,29 @@ def decode(buffer) -> ValueTable | SummatorySeries:
 
 @contextlib.contextmanager
 def replacing(path, mode: str = "xb", **open_args):
-    """A new temporary file beside path, open in mode, that replaces path when the block ends.
+    """A file open in mode that replaces path when the block ends; every file is written so.
 
-    The file is created on entry, so a directory that cannot be written to
-    fails before the block runs. If the block raises, the file is removed
-    and path is left as it was.
+    path is resolved, so a symlink is written through. A target that exists
+    but is not a regular file, such as a FIFO, is opened in place, with "x"
+    in mode turned into "w". Otherwise a temporary file is created beside
+    the target on entry, and a failure to create it names path; it is
+    renamed over the target when the block ends, or removed if the block
+    raises, leaving the target as it was.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    try:
-        with open(tmp, mode, **open_args) as fh:
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        with open(target, mode.replace("x", "w"), **open_args) as fh:
             yield fh
-        os.replace(tmp, path)
+        return
+    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fh = open(tmp, mode, **open_args)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -171,12 +182,10 @@ def replacing(path, mode: str = "xb", **open_args):
 def save(path, artifact: ValueTable | SummatorySeries) -> None:
     """Write one artifact to path as encode gives it, the header then the payload.
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces path in one rename; on failure path is left as it was.
+    The parent directories are made first; the bytes go through replacing.
     """
     header, payload = encode(artifact)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with replacing(path) as fh:
         fh.write(header)
         fh.write(payload)

@@ -54,6 +54,8 @@ _INT_ROWS_PER_STEP = 1 << 16
 _INT_ROWS_MIN = 400
 #: The columns of a stats report, one per MomentTable column.
 _STATS_FIELDS = MomentTable._fields[1:]
+#: The columns of a verify report, one per field of a CriterionResult.
+_VERIFY_FIELDS = ("criterion", "name", "status", "measured")
 
 
 def parse_limit(text: str) -> int:
@@ -163,22 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _report_stream(args):
-    """Where the command writes its report: stdout, or a file that replaces --output.
+    """Where the command writes its report: stdout, or --output through cache.replacing.
 
-    The file is made beside --output before the command walks, so an output
-    that cannot be written exits 2 at once; it replaces --output in one
-    rename when the command returns, and is removed if it raises, leaving
-    --output as it was. A target that exists but is not a regular file,
-    such as /dev/null, is written in place. sieve --binary writes --output
-    itself, with save.
+    replacing opens its file before the command walks, so an output that
+    cannot be written exits 2 at once, and a failed command leaves --output
+    as it was. sieve --binary writes --output itself, with save.
     """
     if args.output is None or getattr(args, "binary", False):
         yield sys.stdout
-    elif os.path.exists(args.output) and not os.path.isfile(args.output):
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
     else:
-        with replacing(os.path.realpath(args.output), "x", encoding="utf-8", newline="\n") as fh:
+        with replacing(args.output, "x", encoding="utf-8", newline="\n") as fh:
             yield fh
 
 
@@ -244,11 +240,11 @@ def _report_rows(columns, csv: bool, prefixes, sep: str):
     """Text of the rows of equal-length columns, _ROWS_PER_STEP rows per step; concatenate them.
 
     A row joins its cells, each after its column's prefix, with ","; rows
-    are joined by sep. Ints print with str, floats as fmt12 in CSV and as
-    repr in JSON (as json.dumps), a NaN as "" or null. A step at a time
-    keeps no Python object per row of the whole report. A report of signed
-    int columns only, of at least _INT_ROWS_MIN rows, is rendered in numpy
-    by _int_rows instead; both give the same text.
+    are joined by sep. Ints and text print with str, floats as fmt12 in CSV
+    and as repr in JSON (as json.dumps), a NaN as "" or null. A step at a
+    time keeps no Python object per row of the whole report. A report of
+    signed int columns only, of at least _INT_ROWS_MIN rows, is rendered in
+    numpy by _int_rows instead; both give the same text.
     """
     if len(columns[0]) >= _INT_ROWS_MIN and all(col.dtype.kind == "i" for col in columns):
         yield from _int_rows(columns, prefixes, sep)
@@ -263,8 +259,9 @@ def _report_rows(columns, csv: bool, prefixes, sep: str):
                 step = list(map("{:.12g}".format, (col + 0.0).tolist()))
             else:
                 step = list(map(float.__repr__, col.tolist()))
-            for j in np.flatnonzero(np.isnan(col)).tolist():
-                step[j] = "" if csv else "null"
+            if col.dtype.kind == "f":
+                for j in np.flatnonzero(np.isnan(col)).tolist():
+                    step[j] = "" if csv else "null"
             cells.append(list(map(prefix.__add__, step)) if prefix else step)
         if i:
             yield sep
@@ -350,7 +347,7 @@ def cmd_stats(args, out) -> int:
     table = moment_scan(args.kind, args.limit, args.ladder, threads=args.threads)
     doc, footer = {"kind": args.kind.label, "limit": args.limit, "reports": None}, []
     if args.kind is FunctionKind.PRIME_INDICATOR and args.limit >= 5:
-        adjacent = prime_adjacent_joint(args.limit)
+        adjacent = prime_adjacent_joint(args.limit, threads=args.threads)
         doc["prime_adjacent"] = adjacent._asdict()
         footer.append(f"# prime_adjacent joint={fmt12(adjacent.joint)} product={fmt12(adjacent.product)}")
     if args.format == "csv":
@@ -398,8 +395,17 @@ def cmd_scaling(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     outcome = verify_mod.run_suite(limit=args.limit, threads=args.threads, err=sys.stderr)
-    render = verify_mod.render_csv if args.format == "csv" else verify_mod.render_json
-    out.write(render(outcome))
+    criteria = outcome.criteria
+    if args.format == "csv":
+        text = [(c.name, c.status, '"{}"'.format(c.measured.replace('"', '""'))) for c in criteria]
+    else:
+        text = [tuple(map(json.dumps, (c.name, c.status, c.measured))) for c in criteria]
+    columns = (np.array([c.number for c in criteria]), *map(np.array, zip(*text)))
+    if args.format == "csv":
+        out.writelines(_csv(_VERIFY_FIELDS, columns))
+    else:
+        doc = {"limit": outcome.limit, "criteria": None, "all_passed": outcome.all_passed}
+        out.writelines(_json(doc, "criteria", _VERIFY_FIELDS, columns))
     return 0 if outcome.all_passed else 1
 
 

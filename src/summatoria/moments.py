@@ -143,7 +143,7 @@ def lag_covariance(table: ValueTable, lag: int, window: tuple[int, int]) -> LagC
     return LagCovariance(table.kind, lag, (lo, hi), cov, corr)
 
 
-def prime_adjacent_joint(N: int) -> AdjacentPrimeStats:
+def prime_adjacent_joint(N: int, *, threads: int = 1) -> AdjacentPrimeStats:
     """Joint vs product frequency of consecutive prime indicators.
 
     Over k = 3 .. N-1: the joint frequency of (k prime and k+1 prime),
@@ -154,12 +154,14 @@ def prime_adjacent_joint(N: int) -> AdjacentPrimeStats:
 
     One walk over the segments of [1, N] that moment_scan walks, with one
     base-prime sieve, counts the primes and prime pairs; no table is taken.
+    threads segments are sieved at once, as in moment_scan, and the counts
+    are taken in segment order, so the result never depends on threads.
     """
     if N < 5:
         raise DomainError(f"need N >= 5 for the k in [3, N-1] window, got {N}")
     primes = joint = 0
     last = False  # the indicator just before the current segment
-    for lo, _, values in _ordered_segments(FunctionKind.PRIME_INDICATOR, N, DEFAULT_SEGMENT, 1):
+    for lo, _, values in _ordered_segments(FunctionKind.PRIME_INDICATOR, N, DEFAULT_SEGMENT, threads):
         prime = values == 1
         prime[: max(0, 3 - lo)] = False  # the window starts at k = 3
         primes += int(np.count_nonzero(prime))

@@ -2,9 +2,10 @@
 
 Ten numbered criteria, declared once in CRITERIA; run_suite runs each,
 prints PASS / FAIL / SKIP to stderr with its measured values and elapsed
-time, and collects the results. The machine-readable report (CSV or JSON)
-contains only deterministic fields, never timings, so two runs of
-`verify --limit 1e6` emit byte-identical reports regardless of threads.
+time, and collects the results. cli renders them as the CSV or JSON report,
+with the row renderer of every other report. The results hold only
+deterministic fields, never timings, so two runs of `verify --limit 1e6`
+emit byte-identical reports regardless of threads.
 
 The suite is a client of the package. The second moments that criteria 2
 and 4 check are the columns of the MomentTable that moment_scan returns,
@@ -31,7 +32,6 @@ empirical constant validated at one scale is not asserted at another.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import shutil
@@ -73,26 +73,6 @@ class VerifyOutcome:
     @property
     def all_passed(self) -> bool:
         return all(c.status != "FAIL" for c in self.criteria)
-
-
-def render_csv(outcome: VerifyOutcome) -> str:
-    lines = ["criterion,name,status,measured"]
-    for c in outcome.criteria:
-        measured = c.measured.replace('"', '""')
-        lines.append(f'{c.number},{c.name},{c.status},"{measured}"')
-    return "\n".join(lines) + "\n"
-
-
-def render_json(outcome: VerifyOutcome) -> str:
-    doc = {
-        "limit": outcome.limit,
-        "criteria": [
-            {"criterion": c.number, "name": c.name, "status": c.status, "measured": c.measured}
-            for c in outcome.criteria
-        ],
-        "all_passed": outcome.all_passed,
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _same_artifact(back, artifact) -> bool:
@@ -222,7 +202,7 @@ class _Suite:
         if self.scale < 5:
             return "SKIP", "note=needs-limit>=5"
         primes = self.tables[FunctionKind.PRIME_INDICATOR]
-        stats = prime_adjacent_joint(self.scale)
+        stats = prime_adjacent_joint(self.scale, threads=self.threads)
         lc_prime = lag_covariance(primes, 1, (3, self.scale))
         lc_lam = lag_covariance(self.tables[FunctionKind.LIOUVILLE], 1, (3, self.scale))
         factor = (abs(lc_prime.corr) / abs(lc_lam.corr)) if lc_lam.corr != 0 else math.inf

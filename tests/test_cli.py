@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from summatoria import cli as cli_mod
 from summatoria import series as series_mod
 from summatoria import verify as verify_mod
-from summatoria.cache import CHECKSUM_OFFSET, HEADER, fnv1a64, load
+from summatoria.cache import CHECKSUM_OFFSET, HEADER, encode, fnv1a64, load
 from summatoria.cli import fmt12, main, parse_kind, parse_ladder, parse_limit
 from summatoria.kernels import KIND_BY_LABEL, FunctionKind, ValueTable, sieve_values
 from summatoria.moments import moment_scan, prime_adjacent_joint
@@ -469,6 +469,25 @@ class TestStatsCommand:
         assert seen == [1, 2]
         assert reports[0] == reports[1]
 
+    def test_threads_reach_the_adjacent_prime_walk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)
+        seen = []
+        real = cli_mod.prime_adjacent_joint
+
+        def recorded(n, **kwargs):
+            seen.append(kwargs["threads"])
+            return real(n, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "prime_adjacent_joint", recorded)
+        reports = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}.csv"
+            assert run_cli("stats", "--kind", "prime-indicator", "--limit", "5e6",
+                           "--threads", threads, output=out)[0] == 0
+            reports.append(out.read_bytes())
+        assert seen == [1, 2]
+        assert reports[0] == reports[1]
+
     def test_prime_indicator_above_the_sieve_cap(self, tmp_path):
         out = tmp_path / "pi.csv"
         assert run_cli("stats", "--kind", "prime-indicator", "--limit", "67108870",
@@ -826,6 +845,36 @@ class TestVerifyCommand:
         assert rows[2] == '2,exact-identities,FAIL,"ladder_points=40 violations=1"'
         assert all(",FAIL," not in row for row in rows[1:2] + rows[3:])
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_renders_measured_text_as_before(self, fmt, tmp_path, monkeypatch):
+        measured = ['say "a,b" \\ done', "plain", 'q"', ""]
+        outcome = verify_mod.VerifyOutcome(17, [
+            verify_mod.CriterionResult(i + 1, f"name-{i}", "FAIL" if i == 1 else "PASS", text)
+            for i, text in enumerate(measured)
+        ])
+        monkeypatch.setattr(verify_mod, "run_suite", lambda **kwargs: outcome)
+        out = tmp_path / f"v.{fmt}"
+        assert run_cli("verify", "--format", fmt, output=out)[0] == 1
+        # the formulas verify rendered its report with before cli did
+        if fmt == "csv":
+            lines = ["criterion,name,status,measured"]
+            for c in outcome.criteria:
+                quoted = c.measured.replace('"', '""')
+                lines.append(f'{c.number},{c.name},{c.status},"{quoted}"')
+            want = "\n".join(lines) + "\n"
+        else:
+            doc = {
+                "limit": outcome.limit,
+                "criteria": [
+                    {"criterion": c.number, "name": c.name, "status": c.status, "measured": c.measured}
+                    for c in outcome.criteria
+                ],
+                "all_passed": outcome.all_passed,
+            }
+            want = json.dumps(doc, indent=2) + "\n"
+            assert [c["measured"] for c in json.loads(out.read_text())["criteria"]] == measured
+        assert out.read_text() == want
+
     def test_csv_header(self, tmp_path):
         out = tmp_path / "v.csv"
         code, _ = run_cli("verify", "--limit", "1000", output=out)
@@ -1004,9 +1053,10 @@ class TestExitCodes:
         assert "--threads" in capsys.readouterr().err
 
     def test_output_into_missing_directory_exits_two(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "report.csv"
+        out = tmp_path / "missing" / "x.csv"
         assert main(["sum", "--kind", "mobius", "--limit", "100", "--output", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.endswith(f": {str(out)!r}\n")  # not its temporary file
         assert not out.exists()
 
     def test_unwritable_output_refused_before_the_walk(self, tmp_path, monkeypatch, capsys):
@@ -1065,6 +1115,31 @@ class TestExitCodes:
         assert got == [b"n,S\n1,1\n2,0\n3,-1\n4,-1\n"]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_binary_table_into_a_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["sieve", "--kind", "mobius", "--hi", "100", "--binary",
+                     "--output", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert got == [b"".join(encode(sieve_values(FunctionKind.MOBIUS, 1, 100)))]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_binary_table_through_a_symlink_replaces_its_target(self, tmp_path):
+        target = tmp_path / "t.sumf"
+        target.write_bytes(b"old table\n")
+        link = tmp_path / "link.sumf"
+        link.symlink_to(target)
+        assert main(["sieve", "--kind", "liouville", "--hi", "100", "--binary",
+                     "--output", str(link)]) == 0
+        assert link.is_symlink()
+        table = load(target)
+        assert table.kind is FunctionKind.LIOUVILLE and (table.lo, table.hi) == (1, 100)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.sumf", "t.sumf"]
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

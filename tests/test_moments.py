@@ -214,8 +214,12 @@ class TestAdjacentPrimes:
         want = self.counted(sieve_values(FunctionKind.PRIME_INDICATOR, 1, n).values, n)
         assert tuple(prime_adjacent_joint(n)) == want
 
-    @pytest.mark.parametrize("segment", [1, 2, 3, 7, 64])
-    def test_counts_carry_across_segment_boundaries(self, monkeypatch, segment):
+    # Two threads run the pool; a one-thread case keeps the segment alone as its id.
+    @pytest.mark.parametrize("segment, threads", [
+        pytest.param(segment, threads, id=str(segment) + ("" if threads == 1 else "-threads-2"))
+        for threads in (1, 2) for segment in (1, 2, 3, 7, 64)
+    ])
+    def test_counts_carry_across_segment_boundaries(self, monkeypatch, segment, threads):
         # A made-up indicator with adjacent ones, so that the pairs that
         # straddle a boundary count; real primes above 2 have none.
         n = 60
@@ -230,7 +234,7 @@ class TestAdjacentPrimes:
         monkeypatch.setattr(series_mod, "sieve_values", fake)
         want = self.counted(values, n)
         assert want[0] > 0
-        assert tuple(prime_adjacent_joint(n)) == want
+        assert tuple(prime_adjacent_joint(n, threads=threads)) == want
 
     def test_one_base_prime_sieve_per_walk(self, monkeypatch):
         calls = []
