@@ -58,6 +58,8 @@ DEFAULT_MAX_SEGMENT = 1 << 26
 #: The wheel primes, and the period of their tile: p**2 divides it for each.
 _WHEEL_PRIMES = (2, 3, 5, 7)
 _WHEEL = 44100
+#: From this many entries (at least 420) on, a prime mask is read by its wheel columns.
+_WHEEL_SCAN = 1 << 18
 
 
 class FunctionKind(Enum):
@@ -253,14 +255,36 @@ def factor_profile(lo: int, hi: int, kind: FunctionKind, *, primes) -> tuple[np.
     return prime, np.array(at, dtype=np.int64), np.array(of, dtype=np.int64)
 
 
+def _prime_offsets(kind: FunctionKind, mask: np.ndarray, lo: int) -> np.ndarray:
+    """np.flatnonzero of a prime mask over [lo, lo + len(mask) - 1], as chebyshev_terms reads it."""
+    if len(mask) < _WHEEL_SCAN:
+        return np.flatnonzero(mask)
+    rows = len(mask) // 210
+    cols = np.flatnonzero(_wheel_tile(kind)[lo % 210 :][:210])  # the 48 k coprime to 210
+    i = np.flatnonzero(np.take(mask[: rows * 210].reshape(rows, 210), cols, axis=1))
+    q = np.floor_divide(i, 48, dtype=np.int32)  # index i is at offset 210q + cols[i - 48q]
+    i -= q * 48
+    head, tail = [p - lo for p in _WHEEL_PRIMES if p >= lo], np.flatnonzero(mask[rows * 210 :])
+    at = np.empty(len(head) + len(i) + len(tail), dtype=np.int64)
+    at[: len(head)], at[len(head) + len(i) :] = head, tail + rows * 210
+    body = at[len(head) : len(head) + len(i)]
+    np.take(cols, i, out=body, mode="clip")  # clip takes no buffered copy; i is in 0..47
+    q *= 210
+    body += q
+    return at
+
+
 def chebyshev_terms(kind: FunctionKind, lo: int, profile: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero terms of a psi or theta profile: ascending offsets from lo, and their values.
 
-    log k at each prime k, the flatnonzero of the mask; psi merges in log p
-    at each prime power p**j, sorted and placed by searchsorted.
+    log k at each prime k; psi merges in log p at each prime power p**j, sorted
+    and placed by searchsorted. From _WHEEL_SCAN entries on, where it beats one
+    flatnonzero, the primes above 7 come from the 48 columns coprime to 210 of
+    the mask's rows of 210, where 21-33% of the entries are prime, not about 7%.
     """
-    at = np.flatnonzero(profile[0])
-    logs = np.log((at + lo).astype(np.float64))
+    at = _prime_offsets(kind, profile[0], lo)
+    logs = np.add(at, lo, dtype=np.float64)
+    np.log(logs, out=logs)
     if kind is FunctionKind.CHEBYSHEV_PSI_TERM:
         _, powers, of = profile
         order = np.argsort(powers)

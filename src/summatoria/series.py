@@ -11,11 +11,11 @@ point and each checkpoint is rounded once, so every value is the correctly
 rounded sum of f(1..n) (what math.fsum returns) and depends only on
 (kind, n), for n up to _FLOAT_EXACT_LIMIT.
 
-A segment holding at least as many checkpoints as terms (every n, say)
-is read out once at every prefix and then gathered at the checkpoints:
-one int64 cumsum for the integer kinds, one fixed-point readout per term
-count for the Chebyshev kinds. Either route forms the same exact sum and
-rounds it once, so which one a segment takes changes no value.
+A segment, or for the Chebyshev kinds a block of _READOUT_BLOCK terms,
+holding at least as many checkpoints as terms (every n, say) is read out
+once at every prefix and then gathered: one int64 cumsum for the integer
+kinds, one fixed-point readout per term count for the Chebyshev kinds.
+Either route forms the same exact sum and rounds it once.
 
 segment_runs() gives S(n) at every n without a row per n: each segment
 comes as its runs of constant S(n), one starting at the segment's lo and
@@ -60,6 +60,8 @@ _LIMB_MASK = (1 << _LIMB) - 1
 #: of magnitude <= 7 stays inside int16.
 _BLOCK_BITS = 12
 _BLOCK = 1 << _BLOCK_BITS
+#: Terms per block of the fixed-point readout: its int64 temporaries stay in cache.
+_READOUT_BLOCK = 1 << 16
 #: Powers per numpy block of a ratio ladder.
 _LADDER_BLOCK = 1 << 16
 #: Rows per block of the checks on a new SummatorySeries.
@@ -279,8 +281,9 @@ class _ExactRun:
     With scale None the terms are small integers (see _block_prefix), read
     out of int64 block prefixes and int16 in-block prefixes. Otherwise they
     are nonnegative multiples of 2**-scale below 2**(63 - scale): exact
-    int64 in fixed point, cumsummed as two 29-bit limbs, and each readout
-    is the correctly rounded float64 of the exact total.
+    int64 in fixed point, cumsummed as two 29-bit limbs in blocks of
+    _READOUT_BLOCK terms, and each readout is the correctly rounded float64
+    of the exact total.
     """
 
     def __init__(self, scale: int | None = None):
@@ -294,9 +297,8 @@ class _ExactRun:
         or when counts are at least as many as the terms, every prefix 0..m
         is read out once and gathered at counts; otherwise only the counts are.
         """
-        dense = isinstance(counts, slice) or len(counts) >= len(terms)
         if self.scale is None:
-            if dense:
+            if isinstance(counts, slice) or len(counts) >= len(terms):
                 prefix = _cumsum0(terms)
                 out, total = prefix[counts], int(prefix[-1])
             else:
@@ -304,6 +306,19 @@ class _ExactRun:
             out += self.total
             self.total += total
             return out
+        if len(terms) <= _READOUT_BLOCK:
+            return self._fixed(terms, counts)
+        if isinstance(counts, slice):
+            counts = np.arange(len(terms) + 1)[counts]
+        # Block j: terms[i:i + _READOUT_BLOCK] and the counts in (i, i + _READOUT_BLOCK], 0 in block 0.
+        edges = range(_READOUT_BLOCK, len(terms), _READOUT_BLOCK)
+        blocks = np.split(counts, np.searchsorted(counts, edges, side="right"))
+        return np.concatenate([self._fixed(terms[i : i + _READOUT_BLOCK], c - i)
+                               for i, c in zip(range(0, len(terms), _READOUT_BLOCK), blocks)])
+
+    def _fixed(self, terms: np.ndarray, counts) -> np.ndarray:
+        """The fixed-point add of one block of terms; counts as add takes them."""
+        dense = isinstance(counts, slice) or len(counts) >= len(terms)
         x = np.ldexp(terms, self.scale).astype(np.int64)
         h, l = _cumsum0(x >> _LIMB), _cumsum0(x & _LIMB_MASK)
         total = (int(h[-1]) << _LIMB) + int(l[-1])

@@ -1,8 +1,10 @@
 import functools
+import itertools
 import math
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -382,30 +384,73 @@ class TestSegmentIndependence:
 PSI, THETA = FunctionKind.CHEBYSHEV_PSI_TERM, FunctionKind.CHEBYSHEV_THETA_TERM
 
 
+def plain_terms(kind, lo, hi, primes):
+    """The nonzero psi or theta terms over [lo, hi] from plain_profile: offsets and logs.
+
+    The primes are the flatnonzero of the plain mask; psi appends its prime
+    powers and sorts, so nothing is shared with chebyshev_terms.
+    """
+    profile = plain_profile(lo, hi, kind, primes=primes)
+    at = np.flatnonzero(profile[0])
+    logs = np.log((at + lo).astype(np.float64))
+    if kind is PSI:
+        at = np.concatenate((at, profile[1]))
+        logs = np.concatenate((logs, np.log(profile[2].astype(np.float64))))
+        order = np.argsort(at, kind="stable")
+        at, logs = at[order], logs[order]
+    return at, logs
+
+
+def assert_terms_match_plain(lo, hi, kind):
+    """sieve_terms over [lo, hi] equals plain_terms, and the nonzero entries of sieve_values."""
+    shared = primes_to_root_1e13()
+    primes = shared[: int(np.searchsorted(shared, math.isqrt(hi), side="right"))]
+    at, logs = kernels.sieve_terms(kind, lo, hi, primes=primes)
+    want_at, want_logs = plain_terms(kind, lo, hi, primes)
+    assert at.dtype == want_at.dtype and np.array_equal(at, want_at)
+    assert logs.dtype == np.float64 and np.array_equal(bits(logs), bits(want_logs))
+    values = sieve_values(kind, lo, hi, primes=primes).values
+    assert np.array_equal(np.flatnonzero(values), at)
+    assert np.array_equal(bits(values[at]), bits(logs))
+
+
+def wheel_classes(test):
+    """An @example per lo % 210 class, kind and width 419, 420 or 421: 1 or 2 rows of 210."""
+    for r, kind, width in itertools.product(range(210), (PSI, THETA), (419, 420, 421)):
+        test = example(r + 1, width, kind)(test)
+    return test
+
+
 class TestChebyshevTerms:
-    """sieve_terms gives the nonzero table entries in order: what the segment walk sums."""
+    """sieve_terms gives the nonzero entries of the plain sieve's table, and of its own, in order."""
 
     @given(st.integers(1, 10**13), st.integers(1, 5000), st.sampled_from([PSI, THETA]))
     @example(1, 1, PSI)
     @example(1, 3000, PSI)
     @example(1, 48, THETA)  # hi < 49: no wheel
+    @example(1, 49, PSI)
+    @example(40, 9, PSI)  # hi = 48
+    @example(40, 10, THETA)  # hi = 49
     @example(5, 44, PSI)
+    @example(2, 6, THETA)  # [2, 7]: only the wheel primes
+    @example(7, 420, THETA)  # the wheel prime 7 in front of the columns
     @example(114, 13, THETA)  # [114, 126] holds no term
     @example(121, 1, PSI)  # its only term is the prime power 11**2
     @example(10**9 - 2000, 4096, PSI)
     @example(10**9 - 2000, 4096, THETA)
     @example(10**12 - 2000, 4096, PSI)
     @example(10**12 - 2000, 4096, THETA)
+    @wheel_classes
     @settings(max_examples=25, deadline=None)
     def test_terms_are_the_nonzero_entries_of_the_table(self, lo, width, kind):
-        hi = lo + width - 1
-        shared = primes_to_root_1e13()
-        primes = shared[: int(np.searchsorted(shared, math.isqrt(hi), side="right"))]
-        at, logs = kernels.sieve_terms(kind, lo, hi, primes=primes)
-        values = sieve_values(kind, lo, hi, primes=primes).values
-        nz = np.flatnonzero(values)
-        assert at.dtype == nz.dtype and np.array_equal(at, nz)
-        assert logs.dtype == np.float64 and np.array_equal(bits(logs), bits(values[nz]))
+        with mock.patch.object(kernels, "_WHEEL_SCAN", 420):  # the least window with 2 rows
+            assert_terms_match_plain(lo, lo + width - 1, kind)
+
+    @pytest.mark.parametrize("lo", [1, 10**9 + 13])
+    @pytest.mark.parametrize("kind", [PSI, THETA], ids=lambda k: k.label)
+    def test_windows_around_the_wheel_scan_length(self, lo, kind):
+        for width in (kernels._WHEEL_SCAN - 1, kernels._WHEEL_SCAN, kernels._WHEEL_SCAN + 211):
+            assert_terms_match_plain(lo, lo + width - 1, kind)
 
     def test_windows_with_no_term_or_a_prime_power_only(self):
         at, logs = kernels.sieve_terms(THETA, 114, 126)

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -451,6 +452,36 @@ def exact_run_terms(scale, length: int, seed: int) -> np.ndarray:
     return logs if scale == 53 else logs * logs
 
 
+def check_exact_run(scale, steps, edges=None):
+    """Feed _ExactRun(scale) the steps (length, extra, seed) and check every readout.
+
+    Each step reads out length + extra random counts, or with edges a
+    sixteenth of that plus 0, length, and the counts on and just past each
+    multiple of edges. A readout must equal the exact sum of the terms so
+    far, or for a scale its correctly rounded float.
+    """
+    run, exact = _ExactRun(scale), [0]
+    for length, extra, seed in steps:
+        terms = exact_run_terms(scale, length, seed)
+        size = max(0, length + extra) // (1 if edges is None else 16)
+        counts = np.random.default_rng(seed).integers(0, length + 1, size)
+        if edges is not None:
+            on = np.arange(0, length + 1, edges)
+            counts = np.concatenate((counts, on, on[1:] + 1, [0, length]))
+            counts = counts[counts <= length]
+        counts = np.sort(counts)
+        base = len(exact) - 1
+        units = terms.tolist() if scale is None else [int(t) for t in np.ldexp(terms, scale)]
+        for u in units:
+            exact.append(exact[-1] + u)
+        out = run.add(terms, counts).tolist()
+        if scale is None:
+            assert out == [exact[base + c] for c in counts.tolist()]
+        else:
+            assert out == [math.ldexp(float(exact[base + c]), -scale) for c in counts.tolist()]
+        assert run.total == exact[-1]
+
+
 class TestDenseReadout:
     """Counts at least as many as the terms take one readout of every prefix."""
 
@@ -461,20 +492,7 @@ class TestDenseReadout:
     )
     @settings(max_examples=60, deadline=None)
     def test_below_at_and_above_the_term_count(self, scale, steps):
-        run, exact = _ExactRun(scale), [0]
-        for length, extra, seed in steps:
-            terms = exact_run_terms(scale, length, seed)
-            counts = np.sort(np.random.default_rng(seed).integers(0, length + 1, max(0, length + extra)))
-            base = len(exact) - 1
-            units = terms.tolist() if scale is None else [int(t) for t in np.ldexp(terms, scale)]
-            for u in units:
-                exact.append(exact[-1] + u)
-            out = run.add(terms, counts).tolist()
-            if scale is None:
-                assert out == [exact[base + c] for c in counts.tolist()]
-            else:
-                assert out == [math.ldexp(float(exact[base + c]), -scale) for c in counts.tolist()]
-            assert run.total == exact[-1]
+        check_exact_run(scale, steps)
 
     @pytest.mark.parametrize("kind", list(FunctionKind), ids=lambda k: k.label)
     def test_walk_dense_then_sparse(self, kind, monkeypatch):
@@ -495,6 +513,39 @@ class TestDenseReadout:
             squares = values * values
             assert table.S.tolist() == [math.fsum(values[:n]) for n in table.n.tolist()]
             assert table.Q.tolist() == [math.fsum(squares[:n]) for n in table.n.tolist()]
+
+
+class TestBlockedReadout:
+    """The fixed-point readout walks _READOUT_BLOCK terms at a time, and no value depends on it."""
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @given(
+        st.sampled_from([53, 54]),
+        st.lists(st.tuples(st.integers(0, 300), st.integers(-1, 1), st.integers(0, 2**32 - 1)),
+                 min_size=1, max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_counts_at_zero_on_each_block_edge_and_past_the_last(self, block, scale, steps, sparse):
+        with mock.patch.object(series_mod, "_READOUT_BLOCK", block):
+            check_exact_run(scale, steps, edges=block if sparse else None)
+
+    @pytest.mark.parametrize("kind", [FunctionKind.CHEBYSHEV_PSI_TERM, FunctionKind.CHEBYSHEV_THETA_TERM],
+                             ids=lambda k: k.label)
+    def test_walks_in_blocks_of_7(self, kind, monkeypatch):
+        limit, size = 12000, 1000
+        monkeypatch.setattr(series_mod, "_READOUT_BLOCK", 7)
+        values = sieve_values(kind, 1, limit).values
+        terms = values[values != 0]
+        s = np.array([math.fsum(terms[:c]) for c in range(len(terms) + 1)])
+        q = np.array([math.fsum(terms[:c] ** 2) for c in range(len(terms) + 1)])
+        count = np.cumsum(values != 0)  # count[n - 1]: the terms up to n
+        table = moment_scan(kind, limit, [*range(1, 3001), *range(3001, limit, 700)], segment_size=size)
+        assert table.S.tolist() == s[count[table.n - 1]].tolist()
+        assert table.Q.tolist() == q[count[table.n - 1]].tolist()
+        runs = list(segment_runs(kind, limit, segment_size=size))
+        ns = np.concatenate([ns for ns, _, _ in runs])
+        assert np.concatenate([sums for _, sums, _ in runs]).tolist() == s[count[ns - 1]].tolist()
 
 
 class TestValueAt:
