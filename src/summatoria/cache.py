@@ -73,8 +73,7 @@ def fnv1a64(data, key: bytes = b"") -> int:
 def _payload_bytes(artifact) -> tuple[int, int, int, bytes]:
     """(kind_tag, payload_tag, (lo, hi), payload) for a supported artifact."""
     if isinstance(artifact, ValueTable):
-        code = "<i1" if artifact.kind.is_integer_valued else "<f8"
-        payload = artifact.values.astype(code, copy=False).tobytes()
+        payload = artifact.values.astype(artifact.kind.dtype.newbyteorder("<"), copy=False).tobytes()
         return artifact.kind.value, PAYLOAD_VALUE_TABLE, (artifact.lo, artifact.hi), payload
     if isinstance(artifact, SummatorySeries):
         s_code = "<i8" if artifact.kind.is_integer_valued else "<f8"
@@ -124,11 +123,9 @@ def decode(buffer) -> ValueTable | SummatorySeries:
         )
 
     if payload_tag == PAYLOAD_VALUE_TABLE:
-        code = "<i1" if kind.is_integer_valued else "<f8"
-        values = np.frombuffer(payload, dtype=code)
-        native = values.astype(np.int8 if kind.is_integer_valued else np.float64)
+        values = np.frombuffer(payload, dtype=kind.dtype.newbyteorder("<"))
         try:
-            table = ValueTable(kind, lo, hi, native)
+            table = ValueTable(kind, lo, hi, values.astype(kind.dtype))
         except DomainError as exc:
             raise CorruptionError(f"value table rejected: {exc}") from exc
         table.validate()

@@ -26,15 +26,9 @@ from .cache import ENV_CACHE_DIR, load, replacing, save, series_filename
 from .errors import DomainError, ResourceError, SummatoriaError
 from .kernels import KIND_BY_LABEL, FunctionKind, sieve_values
 from .moments import MomentTable, moment_scan, prime_adjacent_joint
-from .scaling import (
-    SlowGrowthSpec,
-    chebyshev_bound_coverage,
-    every_n_scaling,
-    fit_exponent,
-    ladder_samples,
-    normalized_envelope,
-)
-from .series import SummatorySeries, accumulate, geometric_ladder, resolve_checkpoints
+from .scaling import SlowGrowthSpec, fit_exponent, fold_scaling
+from .scaling import chebyshev_bound_coverage, normalized_envelope  # noqa: F401  kept for the benchmark's tracer
+from .series import SummatorySeries, accumulate, resolve_checkpoints
 from .verify import fmt12
 
 #: Above this limit, scaling reports switch from all-n to ladder checkpoints.
@@ -359,15 +353,9 @@ def cmd_scaling(args, out) -> int:
     plan = args.ladder
     if plan is None:
         plan = "all" if args.limit <= DENSE_SCAN_LIMIT else "geometric"
-    if plan == "all":
-        samples, envelope, coverage = every_n_scaling(args.kind, args.limit, phi, threads=args.threads)
-        fit = fit_exponent(samples)
-        coverage = coverage()
-    else:
-        series = accumulate(args.kind, args.limit, plan, threads=args.threads)
-        fit = fit_exponent(ladder_samples(series, geometric_ladder(args.limit)))
-        envelope = normalized_envelope(series)
-        coverage = chebyshev_bound_coverage(series, phi)
+    samples, envelope, coverage = fold_scaling(args.kind, args.limit, plan, phi, threads=args.threads)
+    fit = fit_exponent(samples)
+    coverage = coverage()
 
     doc = {
         "kind": args.kind.label,

@@ -6,11 +6,11 @@ for what fraction of n does |S(n)| stay below sqrt(n) times a slowly
 growing function (coverage). Every kind has zero density, so S(n) is its
 own deviation from the mean.
 
-Each function takes a checkpoint series (SummatorySeries), whose every
-checkpoint stands for its own n, except every_n_scaling, which folds the
-runs of constant S(n) of series.segment_runs one segment at a time. The
-envelope of a run is at its start, and coverage decides a whole run from
-the bound at its ends where it can, so every n is counted without a row.
+fold_scaling answers all three for any checkpoint plan in one fold over
+runs of constant S(n): the runs of series.segment_runs for every n, else a
+checkpoint series, each checkpoint a run of its own n. The envelope of a
+run is at its start, and coverage decides a whole run from the bound at its
+ends where it can, so every n is counted without a row.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import FunctionKind
-from .series import DEFAULT_SEGMENT, SummatorySeries, geometric_ladder, segment_runs
+from .series import DEFAULT_SEGMENT, SummatorySeries, accumulate, geometric_ladder, segment_runs
 
 log = logging.getLogger(__name__)
 
@@ -160,16 +160,15 @@ def fit_exponent(samples: Sequence[tuple[int, float]]) -> ExponentFit:
     return ExponentFit(alpha, log_c, r_squared, len(usable), float(np.abs(residuals).max()))
 
 
-def _samples(ns: np.ndarray, sums: np.ndarray, points: np.ndarray) -> list[tuple[int, float]]:
-    """(n, |S(n)|) at each of points, from the run or checkpoint at or before it."""
+def _samples(ns: np.ndarray, sums: np.ndarray, lengths: np.ndarray | None,
+             points: np.ndarray) -> list[tuple[int, float]]:
+    """(n, |S(n)|) at each of points that a run holds, for fit_exponent.
+
+    Runs start at ns with S(n) = sums and hold lengths n (1 if lengths is None).
+    """
     idx = np.searchsorted(ns, points, side="right") - 1
-    return [(int(n), abs(float(sums[i]))) for n, i in zip(points, idx)]
-
-
-def ladder_samples(series: SummatorySeries, ladder: np.ndarray) -> list[tuple[int, float]]:
-    """(n, |S(n)|) at each point of ladder that is a checkpoint of the series, for fit_exponent."""
-    idx = np.searchsorted(series.ns, ladder, side="right") - 1  # a point before ns[0] gets ns[-1] = limit, no hit
-    return _samples(series.ns, series.sums, ladder[series.ns[idx] == ladder])
+    held = (idx >= 0) & (points < ns[idx] + (1 if lengths is None else lengths[idx]))
+    return [(int(n), abs(float(sums[i]))) for n, i in zip(points[held], idx[held])]
 
 
 def _envelope(ns: np.ndarray, sums: np.ndarray) -> EnvelopeResult:
@@ -268,26 +267,32 @@ def chebyshev_bound_coverage(series: SummatorySeries, phi: SlowGrowthSpec) -> Co
     return CoverageReport(series.kind, series.limit, phi, *_covered(series.ns, series.sums, None, phi))
 
 
-def every_n_scaling(kind: FunctionKind, limit: int, phi: SlowGrowthSpec, *,
-                    segment_size: int = DEFAULT_SEGMENT, threads: int = 1):
-    """Fit samples, envelope and coverage of S(n) at every n <= limit, one segment of runs at a time.
+def fold_scaling(kind: FunctionKind, limit: int, checkpoint_plan, phi: SlowGrowthSpec, *,
+                 segment_size: int = DEFAULT_SEGMENT, threads: int = 1):
+    """Fit samples, envelope and coverage of S(n) at the planned checkpoints, folded over runs.
 
-    Folds the runs of segment_runs as they come: the samples (n, |S(n)|) at
-    the points of geometric_ladder(limit), for fit_exponent; the envelope of
-    each segment, kept when strictly above the one so far; and coverage's
-    counts, summed. A run cut at a segment end changes no count and no
-    maximum, so each result equals that of accumulate(kind, limit, "all").
+    "all" folds the runs of segment_runs one segment at a time; any other
+    plan folds the series of accumulate as one chunk of runs of one n. The
+    fold keeps the samples (n, |S(n)|) at the points of geometric_ladder(limit)
+    that a run holds, for fit_exponent; the envelope of each chunk, kept when
+    strictly above the one so far; and coverage's counts, summed. A run cut at
+    a segment end changes no count and no maximum, so each result equals that
+    of the series accumulate(kind, limit, checkpoint_plan).
 
     Returns (samples, envelope, coverage). coverage() gives the
     CoverageReport, or raises what chebyshev_bound_coverage would, so that
-    a caller can fit the samples first. What segment_runs raises comes
-    before the walk.
+    a caller can fit the samples first. What accumulate and segment_runs
+    raise comes before the walk.
     """
+    if isinstance(checkpoint_plan, str) and checkpoint_plan == "all":
+        chunks = segment_runs(kind, limit, segment_size=segment_size, threads=threads)
+    else:
+        series = accumulate(kind, limit, checkpoint_plan, segment_size=segment_size, threads=threads)
+        chunks = [(series.ns, series.sums, None)]
     ladder = geometric_ladder(limit)
     samples, envelope, counts, error = [], EnvelopeResult(-math.inf, 0), [], None
-    for ns, sums, lengths in segment_runs(kind, limit, segment_size=segment_size, threads=threads):
-        hi = ns[-1] if lengths is None else ns[-1] + lengths[-1] - 1
-        samples += _samples(ns, sums, ladder[(ladder >= ns[0]) & (ladder <= hi)])
+    for ns, sums, lengths in chunks:
+        samples += _samples(ns, sums, lengths, ladder)
         envelope = max(envelope, _envelope(ns, sums), key=lambda e: e.max_ratio)  # the first on a tie
         if error is None:
             try:

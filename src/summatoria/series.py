@@ -359,11 +359,13 @@ def _prefix_sums(
 ):
     """(S, Q) over [1, n] for each n in cps; Q = sum of f(k)^2, or None.
 
-    The one segment walk of the package. Float kinds are reduced over their
-    nonzero terms log p, which lie on the 2**-53 grid, their squares on the
-    2**-54 grid; the count of terms at or before each checkpoint comes from
-    the term offsets, by an int32 cumsum of a bool mark of them when the
-    segment reads out every prefix and by searchsorted otherwise.
+    Reads the one segment walk of the package, _ordered_segments, as
+    segment_runs and moments.prime_adjacent_joint do. Float kinds are
+    reduced over their nonzero terms log p, which lie on the 2**-53 grid,
+    their squares on the 2**-54 grid; the count of terms at or before each
+    checkpoint comes from the term offsets, by an int32 cumsum of a bool
+    mark of them when the segment reads out every prefix and by
+    searchsorted otherwise.
 
     Raises:
         DomainError: segment_size < 1.

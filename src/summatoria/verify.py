@@ -150,7 +150,7 @@ class _Suite:
             r_lo = (int(series.sums[n_lo - 1]) / n_lo) ** 2
             factor = r_lo / r_hi if r_hi > 0 else math.inf
             parts.append(f"{label}_ratio_lo={fmt12(r_lo)} {label}_ratio_hi={fmt12(r_hi)} "
-                         f"{label}_factor={fmt12(factor) if factor != math.inf else 'inf'}")
+                         f"{label}_factor={fmt12(factor)}")
             if not (r_hi <= 1e-3 and factor >= 10):
                 ok = False
         measured = f"n_lo={n_lo} n_hi={n_hi} " + " ".join(parts)
@@ -208,7 +208,7 @@ class _Suite:
         factor = (abs(lc_prime.corr) / abs(lc_lam.corr)) if lc_lam.corr != 0 else math.inf
         measured = (f"joint={fmt12(stats.joint)} product={fmt12(stats.product)} "
                     f"corr_prime={fmt12(lc_prime.corr)} corr_liouville={fmt12(lc_lam.corr)} "
-                    f"factor={fmt12(factor) if factor != math.inf else 'inf'}")
+                    f"factor={fmt12(factor)}")
         ok = stats.joint == 0.0 and stats.product > 0.0
         if not self.full:
             return "PASS" if ok else "FAIL", measured + " note=factor-threshold-frozen-at-1e6"

@@ -43,7 +43,8 @@ PUBLIC = [
 #: out of their home modules. Sign and sign-pair counts are two cumsums in
 #: verify's criterion 2, not package API. trial_division_counts is the one
 #: oracle; the scalar one lives in tests/scalar_oracle.py. scaling folds the
-#: runs of S(n) one segment at a time, so no series of change points is stored.
+#: runs of S(n) one segment at a time, so no series of change points is stored,
+#: and folds a checkpoint series as runs of one n each, through the same fold.
 REMOVED = {
     kernels: ("Factorization", "factor_oracle"),
     series: ("MeanModel", "DeviationSeries", "deviation_series", "value_at", "ChangePointSeries",
@@ -52,7 +53,7 @@ REMOVED = {
               "grid_sum_ratio", "_report_at", "MomentReport", "SecondMomentDecomposition",
               "_report", "parity_counts", "pair_product_counts", "ParityCounts",
               "PairProducts"),
-    scaling: ("slow_growth_check", "Series"),
+    scaling: ("slow_growth_check", "Series", "ladder_samples", "every_n_scaling"),
 }
 
 

@@ -96,6 +96,9 @@ class TestFmt12:
         assert fmt12(-1.0 / 3.0) == "-0.333333333333"
         assert fmt12(1.5) == "1.5"
 
+    def test_infinity(self):
+        assert fmt12(math.inf) == "inf"
+
 
 class TestParsers:
     def test_limits(self):

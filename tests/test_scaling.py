@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from summatoria.errors import DomainError
@@ -13,10 +13,10 @@ from summatoria.scaling import (
     SlowGrowthSpec,
     _covered,
     _envelope,
+    _samples,
     chebyshev_bound_coverage,
-    every_n_scaling,
     fit_exponent,
-    ladder_samples,
+    fold_scaling,
     normalized_envelope,
 )
 from summatoria.series import SummatorySeries, accumulate, geometric_ladder, segment_runs
@@ -149,7 +149,7 @@ class TestCoverage:
     def test_tiny_constant_violated_somewhere(self):
         phi = SlowGrowthSpec.from_name("const:0.01")
         for report in (chebyshev_bound_coverage(accumulate(FunctionKind.MOBIUS, 10**6, "all"), phi),
-                       every_n_scaling(FunctionKind.MOBIUS, 10**6, phi)[2]()):
+                       fold_scaling(FunctionKind.MOBIUS, 10**6, "all", phi)[2]()):
             assert report.fraction < 1.0
             # measured once with this exact scan, then frozen
             assert (report.satisfied, report.total) == (52052, 10**6 - 1)
@@ -172,7 +172,7 @@ class TestCoverage:
         spec = SlowGrowthSpec("bad", lambda n: np.where(np.asarray(n) < 5, 1.0, value))
         with pytest.raises(DomainError, match="not positive and finite"):
             chebyshev_bound_coverage(accumulate(FunctionKind.MOBIUS, 100, "all"), spec)
-        coverage = every_n_scaling(FunctionKind.MOBIUS, 100, spec)[2]
+        coverage = fold_scaling(FunctionKind.MOBIUS, 100, "all", spec)[2]
         with pytest.raises(DomainError, match="not positive and finite"):
             coverage()
 
@@ -181,7 +181,7 @@ class TestCoverage:
         spec = SlowGrowthSpec.from_name("pow:1000")
         with pytest.raises(DomainError, match="not positive and finite"):
             chebyshev_bound_coverage(accumulate(FunctionKind.LIOUVILLE, 100, "all"), spec)
-        coverage = every_n_scaling(FunctionKind.CHEBYSHEV_PSI_TERM, 100, spec)[2]
+        coverage = fold_scaling(FunctionKind.CHEBYSHEV_PSI_TERM, 100, "all", spec)[2]
         with pytest.raises(DomainError, match="not positive and finite"):
             coverage()
 
@@ -249,8 +249,8 @@ class TestChangePointsMatchEveryN:
         assert expanded(runs).tobytes() == every.sums.tobytes()
         for name in MENU:
             phi = SlowGrowthSpec.from_name(name)
-            samples, envelope, coverage = every_n_scaling(kind, limit, phi, segment_size=segment_size,
-                                                          threads=threads)
+            samples, envelope, coverage = fold_scaling(kind, limit, "all", phi, segment_size=segment_size,
+                                                       threads=threads)
             assert envelope == reference_envelope(every)
             assert samples == reference_fit_samples(every, geometric_ladder(limit))
             if limit == 1:
@@ -272,7 +272,7 @@ class TestChangePointsMatchEveryN:
         assert starts[97][:2] == ([97], [25]) and starts[97][2].tolist() == [3]
         every = accumulate(kind, limit, "all")
         for segment_size in (3, 7, 97):
-            samples, envelope, coverage = every_n_scaling(kind, limit, phi, segment_size=segment_size)
+            samples, envelope, coverage = fold_scaling(kind, limit, "all", phi, segment_size=segment_size)
             assert envelope == reference_envelope(every)
             assert coverage().satisfied == reference_coverage(every, phi)
 
@@ -281,7 +281,7 @@ class TestChangePointsMatchEveryN:
         # Up to 10**6 one pi(n) run and two theta runs cross sqrt(n) log n inside the run.
         kind, phi = KIND_BY_LABEL[label], SlowGrowthSpec.from_name("log")
         every = accumulate(kind, 10**6, "all")
-        report = every_n_scaling(kind, 10**6, phi)[2]()
+        report = fold_scaling(kind, 10**6, "all", phi)[2]()
         assert report.satisfied == reference_coverage(every, phi)
 
     @given(st.lists(st.tuples(st.integers(1, 40), st.floats(0.0, 1.0), st.sampled_from([-1, 0, 1])),
@@ -317,6 +317,38 @@ class TestChangePointsMatchEveryN:
             assert bool((bound[1:] >= bound[:-1] * (1 - RUN_MARGIN / 4)).all()), name
 
 
+def reference_ladder_samples(series, ladder):
+    """The samples at the ladder points that are checkpoints; a point before ns[0] reads ns[-1]."""
+    idx = np.searchsorted(series.ns, ladder, side="right") - 1
+    return [(int(n), abs(float(series.sums[i]))) for n, i in zip(ladder, idx) if series.ns[i] == n]
+
+
+class TestFoldOfACheckpointSeries:
+    """The fold over a checkpoint series, a run of one n per checkpoint, equals the series functions."""
+
+    @given(st.sampled_from(sorted(KIND_BY_LABEL)), st.integers(1, 10**5),
+           st.one_of(st.floats(1.001, 4.0), st.lists(st.integers(1, 10**5), max_size=40)),
+           st.sampled_from(MENU))
+    @example("mobius", 5000, [1, 100, 1000], "log")
+    @example("psi", 7, [3], "const:0.01")
+    @example("liouville", 1, [1], "log")
+    @example("theta", 65537, 1.5, "pow:0.55")
+    @settings(max_examples=80, deadline=None)
+    def test_every_kind_and_plan(self, label, limit, plan, name):
+        kind, phi = KIND_BY_LABEL[label], SlowGrowthSpec.from_name(name)
+        if isinstance(plan, list):
+            plan = [n for n in plan if n <= limit]  # n = 1 and points off the ladder among them
+        series = accumulate(kind, limit, plan)
+        samples, envelope, coverage = fold_scaling(kind, limit, plan, phi)
+        assert samples == reference_ladder_samples(series, geometric_ladder(limit))
+        assert envelope == normalized_envelope(series)
+        if series.ns[-1] < 2:
+            with pytest.raises(DomainError, match="at least one checkpoint with n >= 2"):
+                coverage()
+        else:
+            assert coverage() == chebyshev_bound_coverage(series, phi)
+
+
 class TestChangePointForm:
     def test_run_lengths(self):
         [(ns, sums, lengths)] = segment_runs(FunctionKind.PRIME_INDICATOR, 10)
@@ -333,16 +365,17 @@ class TestChangePointForm:
 
     def test_ladder_samples_of_a_checkpoint_series_skip_missing_points(self):
         series = synthetic_series([3, 8, 20], [1, -2, 4])
-        assert ladder_samples(series, np.array([1, 2, 3, 4, 8, 20])) == [(3, 1.0), (8, 2.0), (20, 4.0)]
+        points = np.array([1, 2, 3, 4, 8, 20])
+        assert _samples(series.ns, series.sums, None, points) == [(3, 1.0), (8, 2.0), (20, 4.0)]
 
     def test_fold_holds_a_few_segments_not_the_limit(self):
         # The change-point arrays of every n took 16 bytes per n, 32 MB here.
         n, segment = 2 * 10**6, 1 << 16
         phi = SlowGrowthSpec.from_name("log")
-        every_n_scaling(FunctionKind.LIOUVILLE, 10**4, phi, segment_size=segment)
+        fold_scaling(FunctionKind.LIOUVILLE, 10**4, "all", phi, segment_size=segment)
         tracemalloc.start()
         try:
-            every_n_scaling(FunctionKind.LIOUVILLE, n, phi, segment_size=segment)[2]()
+            fold_scaling(FunctionKind.LIOUVILLE, n, "all", phi, segment_size=segment)[2]()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
