@@ -9,6 +9,12 @@ two stages: factor_profile walks the primes p <= sqrt(hi) once, and
 values_from_profile finishes the values. No step divides. Once hi >= 49 the
 walk starts at 11: a cached tile of period 44100 = (2*3*5*7)**2, read from
 lo mod 44100, gives what 2, 3, 5, 7 and their squares add (a wheel pre-sieve).
+The primes below 256 touch every cache line of the window, so they are
+walked over 2**20 entries at a time (2 MB of score, 1 MB of mask, within a
+core's L2); the larger ones touch few lines each and walk the whole window
+once, as more but shorter numpy calls would queue on the GIL when two
+segments are sieved on two threads. A prime above the window's width hits
+it at most once per power, so all of those take one vectorised step.
 
 Mobius and Liouville keep one uint16 score per entry and no product. At
 each multiple of p (Mobius) or of each prime power p**j (Liouville) the
@@ -60,6 +66,10 @@ _WHEEL_PRIMES = (2, 3, 5, 7)
 _WHEEL = 44100
 #: From this many entries (at least 420) on, a prime mask is read by its wheel columns.
 _WHEEL_SCAN = 1 << 18
+#: The primes below this are sieved over _SIEVE_BLOCK entries at a time (2 MB of
+#: score, 1 MB of mask: within a 2 MB L2), the larger ones over the whole window.
+_BLOCKED_BELOW = 256
+_SIEVE_BLOCK = 1 << 20
 
 
 class FunctionKind(Enum):
@@ -201,11 +211,48 @@ def _wheel_tile(kind: FunctionKind) -> np.ndarray:
     return tile
 
 
+def _add_scores(score: np.ndarray, lo: int, steps, every_power: bool) -> None:
+    """Walk steps, each (p, 2*w_p + 1, the first power of p to sieve), over score,
+    which holds [lo, lo + len(score) - 1]: one strided update per power of p."""
+    hi = lo + len(score) - 1
+    for p, w, pk in steps:
+        while pk <= hi:
+            view = score[(-lo) % pk :: pk]
+            if pk > p and not every_power:
+                view |= 1 << 15  # p**2 divides k
+                break
+            view += w
+            pk *= p
+
+
+def _cross_off(prime: np.ndarray, lo: int, ps) -> None:
+    """Clear the multiples from p**2 on of each p in ps in prime, which holds [lo, lo + len(prime) - 1]."""
+    for p in ps:
+        prime[max(p * p, lo + (-lo) % p) - lo :: p] = False
+
+
+def _walk(update, profile: np.ndarray, lo: int, blocked, rest) -> None:
+    """update(view, lo of the view, steps): blocked over each _SIEVE_BLOCK entries in turn, then rest."""
+    for start in range(0, len(profile), _SIEVE_BLOCK):
+        update(profile[start : start + _SIEVE_BLOCK], lo + start, blocked)
+    update(profile, lo, rest)
+
+
+def _powers(primes: np.ndarray, hi: int, j: int):
+    """(i, p**j) for j, j + 1, ... while some p = primes[i] has p**j <= hi, ascending in i."""
+    i = np.flatnonzero(primes**j <= hi)  # j <= 2 and p <= 2**26: no overflow
+    pk = primes[i] ** j
+    while len(i):
+        yield i, pk
+        more = pk <= hi // primes[i]
+        i = i[more]
+        pk = pk[more] * primes[i]
+
+
 def factor_profile(lo: int, hi: int, kind: FunctionKind, *, primes) -> tuple[np.ndarray, ...]:
     """Sieve what one kind needs to know about every k in [lo, hi].
 
-    Walks primes, the ascending primes <= sqrt(hi), once with a strided
-    slice update per prime or prime power, and never divides:
+    Walks primes, the ascending primes <= sqrt(hi), once, and never divides:
 
     - mobius and liouville: (score,), the uint16 log-weight score of the
       module docstring.
@@ -214,45 +261,57 @@ def factor_profile(lo: int, hi: int, kind: FunctionKind, *, primes) -> tuple[np.
       prime powers p**j (j >= 2) in [lo, hi] and their primes.
 
     From hi = 49 on, the window starts as the wheel tile and the walk at 11.
-    The result depends only on (lo, hi, kind), never on any enclosing
-    segmentation.
+    Each p <= n = hi - lo + 1 gets one strided slice update per power (or
+    one for the mask): those below _BLOCKED_BELOW over each _SIEVE_BLOCK
+    entries in turn, so that their dense updates stay in cache, the rest
+    over the whole window. The p > n hit the window at most once per power
+    and take one vectorised step together. The result depends only on
+    (lo, hi, kind), never on any enclosing segmentation.
     """
     n = hi - lo + 1
     ps = primes.tolist()
     wheel = ps[:4] == [*_WHEEL_PRIMES]  # hi >= 49
     tile = np.resize(_wheel_tile(kind)[lo % _WHEEL :][: min(n, _WHEEL)], n) if wheel else None
+    begin = 4 if wheel else 0
+    wide = max(begin, int(np.searchsorted(primes, n, side="right")))
+    small = min(max(begin, int(np.searchsorted(primes, _BLOCKED_BELOW))), wide)
     if kind is FunctionKind.MOBIUS or kind is FunctionKind.LIOUVILLE:
         every_power = kind is FunctionKind.LIOUVILLE
         score = np.zeros(n, dtype=np.uint16) if tile is None else tile
-        # The first power of each prime still to sieve; the tile holds p and p**2 for p <= 7.
-        first = [p**3 if every_power else hi + 1 for p in ps[:4]] + ps[4:] if wheel else ps
-        for p, w, pk in zip(ps, _log_weights(primes).tolist(), first):
-            while pk <= hi:
-                view = score[(-lo) % pk :: pk]
-                if pk > p and not every_power:
-                    view |= 1 << 15  # p**2 divides k
-                    break
-                view += w
-                pk *= p
+        weights = _log_weights(primes)
+        steps = list(zip(ps[:wide], weights[:wide].tolist(), ps[:wide]))
+        # The tile holds p and p**2 for p <= 7; liouville still sieves p**3 on.
+        wheel_steps = [(p, w, p**3) for p, w, _ in steps[:begin]] if every_power else []
+        update = functools.partial(_add_scores, every_power=every_power)
+        _walk(update, score, lo, wheel_steps + steps[begin:small], steps[small:])
+        far, w = primes[wide:], weights[wide:].astype(np.uint16)
+        for j, (i, pk) in enumerate(_powers(far, hi, 1), 1):
+            at = (-lo) % pk
+            hit = at < n
+            if j > 1 and not every_power:
+                score[at[hit]] |= 1 << 15
+                break
+            np.add.at(score, at[hit], w[i[hit]])  # two wide primes can divide one k
         return (score,)
     prime = np.ones(n, dtype=bool) if tile is None else tile
     if wheel:  # the tile crossed off 2, 3, 5 and 7 themselves
         prime[[p - lo for p in _WHEEL_PRIMES if p >= lo]] = True
     if lo == 1:
         prime[0] = False
-    for p in ps[4:] if wheel else ps:
-        prime[max(p * p, lo + (-lo) % p) - lo :: p] = False
+    _walk(_cross_off, prime, lo, ps[begin:small], ps[small:wide])
+    far = primes[wide:]
+    at = np.maximum(far * far, (-lo) % far + lo) - lo
+    prime[at[at < n]] = False
     if kind is not FunctionKind.CHEBYSHEV_PSI_TERM:
         return (prime,)
-    at, of = [], []
-    for p in ps:
-        pk = p * p
-        while pk <= hi:
-            if pk >= lo:
-                at.append(pk - lo)
-                of.append(p)
-            pk *= p
-    return prime, np.array(at, dtype=np.int64), np.array(of, dtype=np.int64)
+    at, of = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i, pk in _powers(primes, hi, 2):
+        inside = pk >= lo
+        at.append(pk[inside] - lo)
+        of.append(primes[i[inside]])
+    of = np.concatenate(of)
+    order = np.argsort(of, kind="stable")  # by p, then by j
+    return prime, np.concatenate(at)[order], of[order]
 
 
 def _prime_offsets(kind: FunctionKind, mask: np.ndarray, lo: int) -> np.ndarray:

@@ -284,14 +284,16 @@ class TestLogWeightTail:
     @pytest.mark.parametrize("kind", SIGNED, ids=lambda k: k.label)
     def test_peak_memory_per_entry(self, kind):
         n = 2**20
-        sieve_values(kind, 1, n)
-        tracemalloc.start()
-        try:
-            sieve_values(kind, 1, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * n
+        for block in (kernels._SIEVE_BLOCK, 2**16):  # one block, and 16 of them
+            with mock.patch.object(kernels, "_SIEVE_BLOCK", block):
+                sieve_values(kind, 1, n)
+                tracemalloc.start()
+                try:
+                    sieve_values(kind, 1, n)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 8 * n, block
 
 
 class TestWindowEdges:
@@ -354,6 +356,13 @@ class TestWheel:
             assert_plain_profile(lo, hi)
 
     @given(st.integers(1, 10**13), st.integers(1, 50000), st.sampled_from(ALL_KINDS))
+    # Primes above the width hit the window at most once per power, all in one step:
+    # k = 4 * 500009 * 500029 has two of them, 999983**2 is a liouville p**2, and
+    # it is the one mobius entry of its window with a square factor.
+    @example(4 * 500009 * 500029 - 500, 1001, FunctionKind.MOBIUS)
+    @example(4 * 500009 * 500029 - 500, 1001, FunctionKind.LIOUVILLE)
+    @example(999983**2 - 500, 1001, FunctionKind.LIOUVILLE)
+    @example(999983**2, 1, FunctionKind.MOBIUS)
     @example(10**13 - 22050, 44107, FunctionKind.MOBIUS)
     @example(10**13 - 44101, 44103, FunctionKind.LIOUVILLE)
     @example(10**13 + 1, 211, FunctionKind.PRIME_INDICATOR)
@@ -368,6 +377,40 @@ class TestWheel:
             tile = kernels._wheel_tile(kind)
             assert not tile.flags.writeable and tile is kernels._wheel_tile(kind)
             assert len(tile) % (2 * 3 * 5 * 7) ** 2 == 0
+
+
+BLOCKS = [7, 64, 420, 2**20]
+BLOCKED_BELOW = [2, 12, 256, 2**27]  # the last is above every base prime
+
+
+def block_edges(test):
+    """@examples per block and split: lo = 1, hi = 48 and 49, and a multiple of a
+    blocked p**2 (p = 11 or 251) at the second block edge and one either side."""
+    for block, below in itertools.product(BLOCKS, BLOCKED_BELOW):
+        test = example((1, 2 * block + 5, block), below)(test)
+        test = example((1, 48, block), below)(test)
+        test = example((1, 49, block), below)(test)
+        square = 251**2 if below > 251 else 11**2
+        edge = square * (2 * block // square + 1)
+        for shift in (-1, 0, 1):
+            test = example((edge - 2 * block + shift, 3 * block, block), below)(test)
+    return test
+
+
+class TestBlockedWalk:
+    """The primes below _BLOCKED_BELOW, walked _SIEVE_BLOCK entries at a time,
+    give the profile of the plain strided loop."""
+
+    @given(st.sampled_from(BLOCKS).flatmap(lambda block: st.tuples(  # (lo, width, block)
+        st.integers(1, 10**9), st.integers(1, 5 * block + 3), st.just(block))),
+        st.sampled_from(BLOCKED_BELOW))
+    @block_edges
+    @settings(max_examples=16, deadline=None)
+    def test_windows_across_block_edges(self, window, below):
+        lo, width, block = window
+        with mock.patch.object(kernels, "_SIEVE_BLOCK", block), \
+                mock.patch.object(kernels, "_BLOCKED_BELOW", below):
+            assert_plain_profile(lo, lo + width - 1, primes=primes_to_root_1e13())
 
 
 class TestSegmentIndependence:
