@@ -175,9 +175,7 @@ def _digits(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and the last digit always.
     """
     neg = col < 0
-    rest = col.astype(np.int64)
-    np.negative(rest, out=rest, where=neg)
-    rest = rest.view(np.uint64)  # |v|; -2**63 negates to itself, which is 2**63 here
+    rest = np.absolute(col.astype(np.int64)).view(np.uint64)  # |v|; -2**63 wraps to 2**63
     top = int(rest.max(initial=0))
     if top < 2**31:
         rest = rest.astype(np.int32)
@@ -230,31 +228,32 @@ def _report_rows(columns, csv: bool, prefixes, sep: str):
 
     A row joins its cells, each after its column's prefix, with ","; rows
     are joined by sep. Ints and text print with str, floats as fmt12 in CSV
-    and as repr in JSON (as json.dumps), a NaN as "" or null. A step at a
-    time keeps no Python object per row of the whole report. A report of
-    signed int columns only, of at least _INT_ROWS_MIN rows, is rendered in
-    numpy by _int_rows instead; both give the same text.
+    and as repr in JSON (as json.dumps), a NaN as "" or null. One format
+    string per report, the prefixes with their % doubled and %s, %.12g or %r
+    per cell, renders each row with one %; the rare row that holds a NaN is
+    redone cell by cell. A step at a time keeps no Python object per row of
+    the whole report. A report of signed int columns only, of at least
+    _INT_ROWS_MIN rows, is rendered in numpy by _int_rows instead; both give
+    the same text.
     """
     if len(columns[0]) >= _INT_ROWS_MIN and all(col.dtype.kind == "i" for col in columns):
         yield from _int_rows(columns, prefixes, sep)
         return
+    floats = [col.dtype.kind == "f" for col in columns]
+    spec, nan = ("%.12g", "") if csv else ("%r", "null")
+    fmts = [prefix.replace("%", "%%") + (spec if f else "%s") for prefix, f in zip(prefixes, floats)]
+    row_fmt = ",".join(fmts)
     for i in range(0, len(columns[0]), _ROWS_PER_STEP):
-        cells = []
-        for prefix, col in zip(prefixes, columns):
-            col = col[i : i + _ROWS_PER_STEP]
-            if col.dtype.kind != "f":
-                step = list(map(str, col.tolist()))
-            elif csv:  # + 0.0 turns -0.0 into 0.0, as fmt12 does
-                step = list(map("{:.12g}".format, (col + 0.0).tolist()))
-            else:
-                step = list(map(float.__repr__, col.tolist()))
-            if col.dtype.kind == "f":
-                for j in np.flatnonzero(np.isnan(col)).tolist():
-                    step[j] = "" if csv else "null"
-            cells.append(list(map(prefix.__add__, step)) if prefix else step)
+        step = [col[i : i + _ROWS_PER_STEP] for col in columns]
+        # + 0.0 turns -0.0 into 0.0, as fmt12 does
+        cells = [(col + 0.0 if f and csv else col).tolist() for col, f in zip(step, floats)]
+        rows = list(map(row_fmt.__mod__, zip(*cells)))
+        for j in np.flatnonzero(np.any([np.isnan(c) for c, f in zip(step, floats) if f], axis=0)).tolist():
+            row = zip(prefixes, fmts, [c[j] for c in cells])
+            rows[j] = ",".join(p + nan if v != v else fmt % v for p, fmt, v in row)
         if i:
             yield sep
-        yield sep.join(map(",".join, zip(*cells)))
+        yield sep.join(rows)
 
 
 def _csv(fields, columns, *footer: str):

@@ -671,6 +671,31 @@ class TestJsonMatchesReference:
             assert "".join(cli_mod._json(doc, "rows", fields, columns)) == want
 
 
+class TestCsvRows:
+    """CSV rows of int and float columns are, cell for cell, str of the int and fmt12 of the float."""
+
+    def test_synthetic_columns(self):
+        rng = np.random.default_rng(11)
+        step = cli_mod._ROWS_PER_STEP
+        n = 2 * step + 3
+        ints = rng.integers(-(2**63), 2**63 - 1, n, dtype=np.int64)
+        ints[:3] = (-(2**63), 2**63 - 1, 0)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[1:6] = (-0.0, 5e-324, 1.8e308, -1.8e308, 0.1 + 0.2)  # 1.8e308 rounds to inf
+        floats[[0, step - 1, step, n - 1]] = np.nan  # first, either side of a step edge, last
+        small = rng.integers(-5, 5, n).astype(np.int8)
+
+        def reference(prefixes, columns):
+            rows = zip(*(col.tolist() for col in columns))
+            return "\n".join(",".join(p + ("" if v != v else fmt12(v) if isinstance(v, float) else str(v))
+                                      for p, v in zip(prefixes, row)) for row in rows)
+
+        for prefixes, columns in ((("", ""), (ints, floats)), (("", "", ""), (floats, small, floats[::-1])),
+                                  (("a%d%%s", "", "%"), (floats, ints, floats)), (("%r",), (small,))):
+            got = "".join(cli_mod._report_rows(columns, True, prefixes, "\n"))
+            assert got == reference(prefixes, columns)
+
+
 INT64 = 2**63 - 1
 #: Zero, short and int32-sized values and values of up to 19 digits, of either sign.
 report_ints = st.one_of(st.integers(-9, 9), st.integers(-(2**31), 2**31 - 1), st.integers(-INT64, INT64))

@@ -413,6 +413,33 @@ class TestBlockedWalk:
             assert_plain_profile(lo, lo + width - 1, primes=primes_to_root_1e13())
 
 
+class TestCrossOff:
+    """_cross_off on an all-True mask: an odd p clears only its odd multiples from
+    max(p**2, lo) on, as the wheel tile or p = 2 has cleared the even k; p = 2
+    clears every even k >= 4."""
+
+    @staticmethod
+    def crossed(lo, n, p):
+        prime = np.ones(n, dtype=bool)
+        kernels._cross_off(prime, lo, [p])
+        return np.flatnonzero(~prime) + lo
+
+    @pytest.mark.parametrize("p", [3, 11, 257])
+    def test_odd_prime(self, p):
+        # lo odd and even, below p**2, on it, and above it on a multiple of p and off one
+        for lo in (1, 2, p * p - 2, p * p - 1, p * p, p * p + 1, 7 * p * p, 7 * p * p + 1, 10**6, 10**6 + 1):
+            n = 6 * p + 5
+            ks = np.arange(lo, lo + n)
+            want = ks[(ks % p == 0) & (ks % 2 == 1) & (ks >= p * p)]
+            assert np.array_equal(self.crossed(lo, n, p), want), lo
+
+    def test_two(self):
+        for lo in range(1, 9):
+            for n in (1, 2, 3, 10, 11):
+                ks = np.arange(lo, lo + n)
+                assert np.array_equal(self.crossed(lo, n, 2), ks[(ks % 2 == 0) & (ks >= 4)]), (lo, n)
+
+
 class TestSegmentIndependence:
     @given(st.integers(min_value=1, max_value=9999))
     @settings(max_examples=25, deadline=None)
