@@ -35,8 +35,10 @@ from .verify import fmt12
 DENSE_SCAN_LIMIT = 10**6
 #: Rows of a report converted to Python scalars at a time.
 _ROWS_PER_STEP = 1 << 12
-#: Rows of an all-integer report rendered as one character matrix at a time.
-_INT_ROWS_PER_STEP = 1 << 16
+#: Rows of an all-integer report rendered as one character matrix at a time:
+#: a JSON row of two columns is about 50 characters, and 2**14 of them with
+#: their keep mask stay within a 2 MB L2.
+_INT_ROWS_PER_STEP = 1 << 14
 #: Fewest rows for which the character matrix beats the str join: its fixed
 #: cost of about 35-45 us breaks even near 200 rows in JSON and 300 in CSV,
 #: and short reports, such as a geometric ladder, keep the str join.
@@ -167,57 +169,56 @@ def _report_stream(args):
             yield fh
 
 
-def _digits(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The characters of str(v) for each v of a signed int column, and which of them to keep.
+def _digits(col: np.ndarray, small: bool, chars: np.ndarray, keep: np.ndarray) -> None:
+    """Write the characters of str(v) for each v of a signed int column into chars, and which to keep.
 
-    Row i is a sign column then W digit columns, W the width of the largest
-    |v|, right-aligned: a digit is kept while the value left of it is > 0,
-    and the last digit always.
+    chars and keep are views of a sign column then W digit columns, right-
+    aligned: a digit is kept while the value left of it is > 0, and the
+    last digit always. small says every |v| < 2**31, to divide in int32.
     """
-    neg = col < 0
+    np.less(col, 0, out=keep[:, 0])
     rest = np.absolute(col.astype(np.int64)).view(np.uint64)  # |v|; -2**63 wraps to 2**63
-    top = int(rest.max(initial=0))
-    if top < 2**31:
+    if small:
         rest = rest.astype(np.int32)
-    width = len(str(top))
-    chars = np.empty((len(col), width + 1), dtype=np.uint8)
-    keep = np.empty(chars.shape, dtype=bool)
-    chars[:, 0] = ord("-")
-    keep[:, 0] = neg
     # digit = rest - 10 * (rest // 10): numpy divides int32 and uint64 by a
     # scalar several times faster with // than with divmod or %
     q, digit = np.empty_like(rest), np.empty_like(rest)
-    for d in range(width, 0, -1):
+    for d in range(chars.shape[1] - 1, 0, -1):
         np.greater(rest, 0, out=keep[:, d])
         np.floor_divide(rest, 10, out=q)
         np.multiply(q, 10, out=digit)
         np.subtract(rest, digit, out=digit)
         np.add(digit, ord("0"), out=chars[:, d], casting="unsafe")
         rest, q = q, rest
-    keep[:, width] = True
-    return chars, keep
-
-
-def _constant(text: str, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """text as m rows of characters, all kept."""
-    chars = np.frombuffer(text.encode(), dtype=np.uint8)
-    return np.broadcast_to(chars, (m, len(chars))), np.ones((m, len(chars)), dtype=bool)
+    keep[:, -1] = True
 
 
 def _int_rows(columns, prefixes, sep: str):
     """_report_rows for signed int columns, as one uint8 character matrix per step.
 
-    The prefixes, the "," between cells and sep after each row are constant
-    columns beside the digits of each column; the kept characters, in row
-    order, are the step's text with its last sep cut off.
+    A row of the matrix holds each column's "," (but the first's), prefix,
+    sign and W digits, W the width of the column's largest |v|, then sep;
+    the kept characters, in row order, are the step's text with its last
+    sep cut off. The matrix and its keep mask are allocated once, with their
+    constant characters, and each step writes in only the signs and digits.
     """
-    for i in range(0, len(columns[0]), _INT_ROWS_PER_STEP):
-        m = min(_INT_ROWS_PER_STEP, len(columns[0]) - i)
-        parts = []
-        for j, (prefix, col) in enumerate(zip(prefixes, columns)):
-            parts += [_constant(("," if j else "") + prefix, m), _digits(col[i : i + m])]
-        mats, keeps = zip(*parts, _constant(sep, m))
-        text = np.hstack(mats)[np.hstack(keeps)].tobytes().decode()
+    n = len(columns[0])
+    m = min(_INT_ROWS_PER_STEP, n)
+    tops = [max(int(col.max()), -int(col.min())) for col in columns]
+    texts = [(("," if j else "") + prefix).encode() for j, prefix in enumerate(prefixes)] + [sep.encode()]
+    # text j starts at edges[2j], the sign of column j at edges[2j + 1], sep at edges[-1]
+    widths = [w for text, top in zip(texts, tops) for w in (len(text), len(str(top)) + 1)]
+    edges = np.cumsum([0, *widths]).tolist()
+    chars = np.empty((m, edges[-1] + len(texts[-1])), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    for at, text in zip(edges[::2], texts):
+        chars[:, at : at + len(text)] = np.frombuffer(text, dtype=np.uint8)
+    chars[:, edges[1:-1:2]] = ord("-")
+    for i in range(0, n, m):
+        rows = min(m, n - i)
+        for col, top, a, b in zip(columns, tops, edges[1::2], edges[2::2]):
+            _digits(col[i : i + rows], top < 2**31, chars[:rows, a:b], keep[:rows, a:b])
+        text = chars[:rows][keep[:rows]].tobytes().decode()
         if i:
             yield sep
         yield text[: len(text) - len(sep)]

@@ -29,9 +29,10 @@ exact: a sqrt(hi)-smooth k has s >= 256 * log2 k - Omega(k) >= 64*j - 52,
 since Omega(k) <= 52 below the 2**52 cap on hi; a k with q >= 2 has
 s <= 256 * (log2 k - 1) < 64*j - 192 and c <= 51. So score - 2*t_j is at
 least 126 for the first and at most -105 for the second, room enough for a
-w_p one off from float log2 in every prime factor. The prime indicator is
-a segmented Eratosthenes mask, theta puts log k at its primes, and psi also
-puts log p at the prime powers. The tile (or p = 2 itself, below hi = 49)
+w_p one off from float log2 in every prime factor. A cached table holds
+2*t_j for k <= 2**16, so that part of a window takes one compare. The
+prime indicator is a segmented Eratosthenes mask, theta puts log k at its
+primes, and psi also puts log p at the prime powers. The tile (or p = 2 itself, below hi = 49)
 clears the even k, so each odd p crosses off only its odd multiples, in
 steps of 2p: half the writes of the plain walk. chebyshev_terms gives those
 nonzero terms in order, as offsets from lo and their logs: sieve_terms hands
@@ -45,7 +46,9 @@ computed in one segment or many.
 
 The oracle shares nothing with the sieves. trial_division_counts factors
 every k in [1, n] at once into FactorCounts (distinct primes, primes with
-multiplicity, squarefree, least prime), and values_from_counts, the one
+multiplicity, squarefree, least prime): it divides every k by 2, 3, 5 and
+7, trial-divides only the k left whole by the larger d, and reads the
+counts of every other k's residue from theirs. values_from_counts, the one
 mapping from those counts to the five kinds, gives the values.
 """
 
@@ -190,6 +193,16 @@ def _tail_blocks(lo: int, hi: int):
         j, start = j + 1, stop
 
 
+@functools.cache
+def _tail_table() -> np.ndarray:
+    """max(2*t_j, 0) at k = 1 .. 2**16, read-only: no uint16 score is below a 2*t_j <= 0."""
+    table = np.zeros(1 << 16, dtype=np.uint16)
+    for block, t in _tail_blocks(1, len(table)):
+        table[block] = max(2 * t, 0)
+    table.setflags(write=False)
+    return table
+
+
 def _log_weights(primes: np.ndarray) -> np.ndarray:
     """2*w_p + 1 for each prime p, with w_p = floor(256 * log2 p)."""
     return 2 * np.floor(256 * np.log2(primes)).astype(np.int64) + 1
@@ -305,7 +318,7 @@ def factor_profile(lo: int, hi: int, kind: FunctionKind, *, primes) -> tuple[np.
         return (score,)
     prime = np.ones(n, dtype=bool) if tile is None else tile
     if wheel:  # the tile crossed off 2, 3, 5 and 7 themselves
-        prime[[p - lo for p in _WHEEL_PRIMES if p >= lo]] = True
+        prime[[p - lo for p in _WHEEL_PRIMES if lo <= p <= hi]] = True
     if lo == 1:
         prime[0] = False
     _walk(_cross_off, prime, lo, ps[begin:small], ps[small:wide])
@@ -367,7 +380,9 @@ def values_from_profile(kind: FunctionKind, lo: int, hi: int, profile: tuple) ->
     """Finish one kind's values from its sieved profile.
 
     The mobius and liouville sign is the score's parity, flipped where the
-    score is below 2*t_j; mobius is 0 where bit 15 is set. The Chebyshev
+    score is below 2*t_j; mobius is 0 where bit 15 is set. The k <= 2**16
+    are compared with _tail_table at once, and only the k above loop over
+    their blocks (about 4 us each; [1, 10**5] has 67). The Chebyshev
     table scatters the terms of chebyshev_terms into zeros, so it holds
     exactly what a segment walk sums.
     """
@@ -375,8 +390,11 @@ def values_from_profile(kind: FunctionKind, lo: int, hi: int, profile: tuple) ->
         (score,) = profile
         out = score.astype(np.int8)  # the low byte, which holds the parity
         out &= 1
-        for block, t in _tail_blocks(lo, hi):
-            out[block] ^= score[block] < 2 * t
+        table = _tail_table()
+        low = min(max(len(table) + 1 - lo, 0), len(out))  # the k <= 2**16
+        out[:low] ^= score[:low] < table[lo - 1 :][:low]
+        for block, t in _tail_blocks(lo + low, hi):
+            out[low:][block] ^= score[low:][block] < 2 * t
         out *= -2
         out += 1
         if kind is FunctionKind.MOBIUS:
@@ -464,13 +482,16 @@ class FactorCounts(NamedTuple):
 
 
 def trial_division_counts(n: int) -> FactorCounts:
-    """Factor every k in [1, n] at once by trial division.
+    """Factor every k in [1, n] at once by trial division, in two phases.
 
-    Tries d = 2, 3 and then every 6j +- 1 with d*d <= n against the live
-    entries, dividing each hit by d for as long as d divides it. An entry
-    leaves once its residue is below d*d, as it is then 1 or a prime, and a
-    residue left above 1 is one more prime. It uses only // on them, never a
-    strided slice, the base primes or a segment kernel, so it is an
+    Each hit of a divisor d is divided by d for as long as d divides it.
+    Phase one divides every k by 2, 3, 5 and 7. Phase two tries each
+    d >= 11 prime to 210 with d*d <= n on the k left whole (1 and the
+    7-rough k, about 23%), but only while an entry's residue is at least
+    d*d, as below that it is 1 or a prime; a residue left above 1 is one
+    more prime. Every other k adds the counts of its residue r > 1, a
+    7-rough k below it, factored by then. It uses only // on the entries,
+    never a strided slice, the base primes or a segment kernel, so it is an
     independent check of the sieves. d divides v when (v // d) * d == v:
     numpy's // of int32 by a scalar is several times faster than its %.
     """
@@ -483,16 +504,8 @@ def trial_division_counts(n: int) -> FactorCounts:
     big_omega = np.zeros(n, dtype=np.int8)
     squarefree = np.ones(n, dtype=bool)
     least = np.zeros(n, dtype=np.int32)
-    divisors = [2, 3]
-    d = 5
-    while d * d <= n:
-        divisors += (d, d + 2)
-        d += 6
-    live = np.arange(n)
-    for d in divisors:
-        live = live[m[live] >= d * d]
-        v = m[live]
-        hit = live[(v // d) * d == v]
+
+    def divide_out(hit, d):  # divide each hit by d for as long as d divides it
         omega[hit] += 1
         least[hit[least[hit] == 0]] = d
         while hit.size:
@@ -501,10 +514,24 @@ def trial_division_counts(n: int) -> FactorCounts:
             big_omega[hit] += 1
             hit = hit[(v // d) * d == v]
             squarefree[hit] = False
-    rest = m > 1
-    omega += rest
-    big_omega += rest
-    np.copyto(least, m, where=rest & (least == 0))
+
+    for d in _WHEEL_PRIMES:
+        divide_out(np.flatnonzero((m // d) * d == m), d)
+    live = rough = np.flatnonzero(least == 0)  # 1 and the 7-rough k
+    done = np.flatnonzero((least > 0) & (m > 1))  # the k with a 7-rough residue r > 1
+    for d in range(11, math.isqrt(n) + 1, 2):
+        if math.gcd(d, 210) == 1:
+            live = live[m[live] >= d * d]
+            v = m[live]
+            divide_out(live[(v // d) * d == v], d)
+    rough = rough[m[rough] > 1]
+    omega[rough] += 1
+    big_omega[rough] += 1
+    least[rough] = np.where(least[rough] == 0, m[rough], least[rough])
+    r = m[done] - 1
+    omega[done] += omega[r]
+    big_omega[done] += big_omega[r]
+    squarefree[done] &= squarefree[r]
     return FactorCounts(omega, big_omega, squarefree, least)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -739,8 +740,22 @@ class TestIntegerRows:
             col = np.array(col, dtype=np.int64)
             assert "".join(cli_mod._report_rows((col,), True, [""], "\n")) == "\n".join(map(str, col.tolist()))
 
+    def test_widths_differ_between_steps(self, monkeypatch):
+        # Each column takes the width of its largest |v| over the whole report:
+        # the first column is wide only in the first step, the second only in the last.
+        monkeypatch.setattr(cli_mod, "_INT_ROWS_PER_STEP", 3)
+        monkeypatch.setattr(cli_mod, "_INT_ROWS_MIN", 1)
+        a = np.array([-(10**15), 7, 0, 1, -2, 3, 0, 9, -1], dtype=np.int64)
+        b = np.array([0, 1, -1, 5, 6, 7, 12, -(2**63), 2**63 - 1], dtype=np.int64)
+        c = np.array([-128, 0, 127, 1, -1, 0, 5, 6, 7], dtype=np.int8)
+        for prefixes, sep in ((["", "", ""], "\n"), (['\n      "n": ', '\n      "S": ', '\n      "q": '], "\n    },\n    {")):
+            for columns in ((a, b, c), (b, a, c), (c, a)):
+                rows = zip(*(col.tolist() for col in columns))
+                want = sep.join(",".join(p + str(v) for p, v in zip(prefixes, row)) for row in rows)
+                assert "".join(cli_mod._report_rows(columns, sep == "\n", prefixes[: len(columns)], sep)) == want
+
     def test_a_step_boundary_in_a_report(self):
-        # 2**16 + 1 rows: one whole _int_rows step and a step of one row
+        # _INT_ROWS_PER_STEP + 1 rows: one whole _int_rows step and a step of one row
         ns = np.arange(1, cli_mod._INT_ROWS_PER_STEP + 2, dtype=np.int64)
         sums = (ns * 7919) % 2001 - 1000
         for prefixes, sep in ((["", ""], "\n"), (['\n      "n": ', '\n      "S": '], "\n    },\n    {")):
@@ -814,6 +829,17 @@ class TestVerifyCommand:
         rows = out.read_text().splitlines()
         assert rows[1] == '1,oracle-equivalence,FAIL,"checked=1000 kinds=5 mismatches=1"'
         assert all(",FAIL," not in row for row in rows[2:])
+
+    def test_criterion_1_checks_the_suite_tables(self):
+        # The tables criteria 2 and 7 read are the ones criterion 1 holds to the oracle.
+        suite = verify_mod._Suite(1000, 1, io.StringIO())
+        assert suite.oracle_equivalence() == ("PASS", "checked=1000 kinds=5 mismatches=0")
+        for kind, m in ((FunctionKind.MOBIUS, 30), (FunctionKind.LIOUVILLE, 12)):
+            values = suite.tables[kind].values.copy()
+            assert values[m - 1] == -1  # mu(30) = lambda(12) = -1
+            values[m - 1] = 1
+            suite.tables[kind] = ValueTable(kind, 1, suite.scale, values)
+        assert suite.oracle_equivalence() == ("FAIL", "checked=1000 kinds=5 mismatches=2")
 
     @pytest.mark.parametrize("n", [30, 12], ids=["mu30-flipped", "mu12-nonzero"])
     def test_integer_sieve_error_fails_oracle_equivalence(self, tmp_path, monkeypatch, n):

@@ -155,9 +155,12 @@ class TestTrialDivisionCounts:
     """The whole-array oracle against the scalar one, counts and values alike."""
 
     # d*d - 1, d*d and d*d + 1 for the first trial divisors, where an entry
-    # first stays live for d
+    # first stays live for d; then the 7-rough edges of the second phase:
+    # 11**2 and 11*13 either side, 13**2 and 210, the 7-rough 211, 1001 =
+    # 7*11*13 and 2431 = 11*13*17, which look up a 7-rough residue, and 99999
     EDGES = sorted({1, 2, 3, 4, 20000, 10**5} | {p * p + e for p in (2, 3, 5, 7, 11, 13, 97)
-                                                 for e in (-1, 0, 1)})
+                                                 for e in (-1, 0, 1)}
+                   | {120, 121, 122, 142, 143, 144, 168, 169, 170, 210, 211, 1001, 2431, 99999})
 
     @pytest.mark.parametrize("n", EDGES)
     def test_matches_the_scalar_oracle(self, scalar_counts, n):
@@ -204,6 +207,18 @@ class TestBeyondTheSmallOracle:
 
 
 SIGNED = [FunctionKind.MOBIUS, FunctionKind.LIOUVILLE]
+
+
+@functools.cache
+def counts_to_2_17():
+    return trial_division_counts(2**17 + 1)
+
+
+def assert_matches_counts(lo, hi):
+    """The mobius and liouville sieves over [lo, hi] equal the whole-array oracle, lo <= hi <= 2**17 + 1."""
+    counts = FactorCounts(*(field[lo - 1 : hi] for field in counts_to_2_17()))
+    for kind in SIGNED:
+        assert np.array_equal(sieve_values(kind, lo, hi).values, values_from_counts(kind, counts)), kind.label
 
 
 def floor_log(k):
@@ -272,9 +287,30 @@ class TestLogWeightTail:
 
     def test_every_k_through_block_edge_68(self):
         n = 2**17 + 1  # e_68 = 2**17
-        counts = trial_division_counts(n)
         for kind in SIGNED:
-            assert np.array_equal(sieve_values(kind, 1, n).values, values_from_counts(kind, counts))
+            assert np.array_equal(sieve_values(kind, 1, n).values, values_from_counts(kind, counts_to_2_17()))
+
+    def test_tail_table_is_twice_t_j_and_never_below_0(self):
+        table = kernels._tail_table()
+        assert len(table) == 2**16 and not table.flags.writeable
+        covered = 0
+        for block, t in kernels._tail_blocks(1, 2**16):
+            assert block.start == covered
+            covered = block.stop
+            assert np.all(table[block] == max(2 * t, 0)), t
+        assert covered == 2**16
+
+    @pytest.mark.parametrize("lo", [2, 65535, 65536, 65537])
+    def test_windows_across_the_tail_table(self, lo):
+        # the table covers k <= 2**16, and the blocks loop only above it
+        for hi in (65536, 65537, 65538, 2**17 + 1):
+            if hi >= lo:
+                assert_matches_counts(lo, hi)
+
+    @given(st.integers(1, 2**17 + 1), st.integers(0, 2**17))
+    @settings(max_examples=40, deadline=None)
+    def test_windows_below_2_17(self, lo, width):
+        assert_matches_counts(lo, min(lo + width, 2**17 + 1))
 
     @pytest.mark.parametrize("j", range(69, 4 * 32 + 1))
     def test_at_and_next_to_block_edge(self, j):
@@ -371,6 +407,16 @@ class TestWheel:
     @settings(max_examples=12, deadline=None)
     def test_windows_up_to_1e13(self, lo, width, kind):
         assert_plain_profile(lo, lo + width - 1, kinds=[kind], primes=primes_to_root_1e13())
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
+    def test_windows_below_60_with_a_long_shared_prime_list(self, kind):
+        # The list holds 2, 3, 5 and 7, so the tile is used even where hi < 49;
+        # a wheel prime above hi is not re-marked.
+        primes = primes_upto(100)
+        for hi in range(1, 60):
+            for lo in range(1, hi + 1):
+                got = sieve_values(kind, lo, hi, primes=primes).values
+                assert np.array_equal(bits(got), bits(sieve_values(kind, lo, hi).values)), (lo, hi)
 
     def test_tiles_are_read_only_and_shared(self):
         for kind in ALL_KINDS:
