@@ -32,12 +32,13 @@ least 126 for the first and at most -105 for the second, room enough for a
 w_p one off from float log2 in every prime factor. A cached table holds
 2*t_j for k <= 2**16, so that part of a window takes one compare. The
 prime indicator is a segmented Eratosthenes mask, theta puts log k at its
-primes, and psi also puts log p at the prime powers. The tile (or p = 2 itself, below hi = 49)
-clears the even k, so each odd p crosses off only its odd multiples, in
-steps of 2p: half the writes of the plain walk. chebyshev_terms gives those
-nonzero terms in order, as offsets from lo and their logs: sieve_terms hands
-them to the segment walk, which needs no table, and values_from_profile
-scatters the same terms into the float table of sieve_values.
+primes, and psi also puts log p at the prime powers. The tile (or p = 2
+itself, below hi = 49) clears the even k, so each odd p crosses off only
+its odd multiples, in steps of 2p: half the writes of the plain walk.
+chebyshev_terms gives those nonzero terms in order, as offsets from lo and
+their logs: sieve_terms hands them to the segment walk, which needs no
+table, and values_from_profile scatters the same terms into the float
+table of sieve_values.
 
 All integer-valued kernels are computed with exact integer arithmetic; the
 Chebyshev terms are double-precision natural logarithms of exact primes.
@@ -485,15 +486,14 @@ def trial_division_counts(n: int) -> FactorCounts:
     """Factor every k in [1, n] at once by trial division, in two phases.
 
     Each hit of a divisor d is divided by d for as long as d divides it.
-    Phase one divides every k by 2, 3, 5 and 7. Phase two tries each
-    d >= 11 prime to 210 with d*d <= n on the k left whole (1 and the
-    7-rough k, about 23%), but only while an entry's residue is at least
-    d*d, as below that it is 1 or a prime; a residue left above 1 is one
-    more prime. Every other k adds the counts of its residue r > 1, a
-    7-rough k below it, factored by then. It uses only // on the entries,
-    never a strided slice, the base primes or a segment kernel, so it is an
-    independent check of the sieves. d divides v when (v // d) * d == v:
-    numpy's // of int32 by a scalar is several times faster than its %.
+    Phase one tries 2, 3, 5 and 7 on every k; phase two tries each d >= 11
+    prime to 210 with d*d <= n on the k left whole (1 and the 7-rough k,
+    about 23%) while their residue is at least d*d, below which it is 1 or
+    a prime, one more prime if above 1. Every other k then adds the counts
+    of its 7-rough residue r > 1. Only // touches the entries, never a
+    strided slice, the base primes or a segment kernel, so the oracle is an
+    independent check of the sieves; (v // d) * d == v tests that d divides
+    v, as numpy's // of int32 by a scalar is several times faster than %.
     """
     if n < 1:
         raise DomainError(f"trial division needs n >= 1, got {n}")
@@ -505,7 +505,7 @@ def trial_division_counts(n: int) -> FactorCounts:
     squarefree = np.ones(n, dtype=bool)
     least = np.zeros(n, dtype=np.int32)
 
-    def divide_out(hit, d):  # divide each hit by d for as long as d divides it
+    def divide_out(hit, d):
         omega[hit] += 1
         least[hit[least[hit] == 0]] = d
         while hit.size:

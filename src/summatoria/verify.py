@@ -17,10 +17,10 @@ sparse one, and against N(+1) and N(-1), two int64 cumsums of the sieved
 table: S = N(+1) - N(-1) and Q = N(+1) + N(-1).
 Criterion 1 compares each kind over [1, min(limit, 10**5)], the float
 kinds sieved anew and the integer kinds read from the tables that criteria
-2 and 7 read, with the package's one oracle, trial_division_counts, bound here as
-factor_oracle: trial division over that whole array at once, mapped to the
-five kinds by values_from_counts. The benchmark's traced pass times the
-oracle by rebinding that name. Criterion 9 sends its 100 round trips and
+2 and 7 read, with the package's one oracle, trial_division_counts, bound
+here as factor_oracle: trial division over that whole array at once, mapped
+to the five kinds by values_from_counts. The benchmark's traced pass times
+the oracle by rebinding that name. Criterion 9 sends its 100 round trips and
 its 100 single-byte mutants through the cache codec, encode and decode, in
 memory; only the first value table and the first series also go through
 save and load, in a temporary directory, so a broken file path still fails

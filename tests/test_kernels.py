@@ -155,9 +155,10 @@ class TestTrialDivisionCounts:
     """The whole-array oracle against the scalar one, counts and values alike."""
 
     # d*d - 1, d*d and d*d + 1 for the first trial divisors, where an entry
-    # first stays live for d; then the 7-rough edges of the second phase:
-    # 11**2 and 11*13 either side, 13**2 and 210, the 7-rough 211, 1001 =
-    # 7*11*13 and 2431 = 11*13*17, which look up a 7-rough residue, and 99999
+    # first stays live for d; then the edges of the second phase: 11**2,
+    # 11*13 and 13**2 and either side, 210 and the 7-rough 211, 1001 =
+    # 7*11*13, which adds the counts of its 7-rough residue 143, 2431 =
+    # 11*13*17, factored by the second phase alone, and 99999
     EDGES = sorted({1, 2, 3, 4, 20000, 10**5} | {p * p + e for p in (2, 3, 5, 7, 11, 13, 97)
                                                  for e in (-1, 0, 1)}
                    | {120, 121, 122, 142, 143, 144, 168, 169, 170, 210, 211, 1001, 2431, 99999})
