@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import json
 import os
@@ -39,10 +40,11 @@ _ROWS_PER_STEP = 1 << 12
 #: a JSON row of two columns is about 50 characters, and 2**14 of them with
 #: their keep mask stay within a 2 MB L2.
 _INT_ROWS_PER_STEP = 1 << 14
-#: Fewest rows for which the character matrix beats the str join: its fixed
-#: cost of about 35-45 us breaks even near 200 rows in JSON and 300 in CSV,
-#: and short reports, such as a geometric ladder, keep the str join.
-_INT_ROWS_MIN = 400
+#: Fewest rows for which the character matrix beats the str join: a
+#: two-column report takes about 117 against 103 us at 200 rows and 132
+#: against 151 us at 300, and short reports, such as a geometric ladder,
+#: keep the str join.
+_INT_ROWS_MIN = 250
 #: The columns of a stats report, one per MomentTable column.
 _STATS_FIELDS = MomentTable._fields[1:]
 #: The columns of a verify report, one per field of a CriterionResult.
@@ -396,6 +398,29 @@ def cmd_verify(args, out) -> int:
     return 0 if outcome.all_passed else 1
 
 
+#: glibc's mallopt parameters M_ARENA_MAX, M_MMAP_THRESHOLD and
+#: M_TRIM_THRESHOLD, and the values main gives them.
+_MALLOPTS = ((-8, 1), (-3, 32 << 20), (-1, 64 << 20))
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep freed blocks of up to 32 MiB mapped, in one malloc arena, so later walks reuse their pages.
+
+    Nothing is set when GLIBC_TUNABLES or a MALLOC_* variable is, which
+    keeps the user's settings, or when the C library has no mallopt.
+    """
+    if "GLIBC_TUNABLES" in os.environ or any(name.startswith("MALLOC_") for name in os.environ):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOPTS:
+        mallopt(param, value)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of main, built once per process."""
@@ -403,6 +428,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _parser().parse_args(argv)
     handlers = {
         "sieve": cmd_sieve,

@@ -3,14 +3,18 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import shutil
 import stat
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 import time
 import tracemalloc
+import types
 from importlib import resources
 from pathlib import Path
 
@@ -765,22 +769,30 @@ class TestIntegerRows:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_either_side_of_the_row_threshold(self, fmt, monkeypatch, capsys):
-        # Below _INT_ROWS_MIN rows the str join renders the report, from it on _int_rows.
+        # Below _INT_ROWS_MIN rows the % join renders the report, from it on _int_rows;
+        # the two give the same bytes at threshold - 1, threshold and threshold + 1 rows.
         calls = []
         real = cli_mod._int_rows
         monkeypatch.setattr(cli_mod, "_int_rows", lambda *args: calls.append(1) or real(*args))
-        for limit in (cli_mod._INT_ROWS_MIN - 1, cli_mod._INT_ROWS_MIN):
+        threshold = cli_mod._INT_ROWS_MIN
+        for limit in (threshold - 1, threshold, threshold + 1):
+            argv = ["sum", "--kind", "liouville", "--limit", str(limit), "--ladder", "all", "--format", fmt]
             calls.clear()
-            assert main(["sum", "--kind", "liouville", "--limit", str(limit), "--ladder", "all",
-                         "--format", fmt]) == 0
+            assert main(argv) == 0
+            got = capsys.readouterr().out
+            assert len(calls) == (limit >= threshold)
+            with monkeypatch.context() as mp:
+                mp.setattr(cli_mod, "_INT_ROWS_MIN", limit + 1)
+                assert main(argv) == 0
+            assert len(calls) == (limit >= threshold)
+            assert got == capsys.readouterr().out
             series = accumulate(FunctionKind.LIOUVILLE, limit, "all")
             if fmt == "csv":
                 want = "n,S\n" + "".join(f"{n},{v}\n" for n, v in zip(series.ns.tolist(), series.sums.tolist()))
             else:
                 want = reference_json({"kind": "liouville", "limit": limit}, "checkpoints", ("n", "S"),
                                       (series.ns, series.sums))
-            assert capsys.readouterr().out == want
-            assert len(calls) == (limit >= cli_mod._INT_ROWS_MIN)
+            assert got == want
 
 
 class TestParser:
@@ -790,6 +802,85 @@ class TestParser:
         assert main(["sum", "--kind", "mobius", "--limit", "4"]) == 0
         assert cli_mod._parser() is parser
         assert capsys.readouterr().out == "n,S\n1,1\n2,0\n3,-1\n4,-1\n"
+
+
+class TestMallocSettings:
+    """main keeps freed memory mapped in one glibc arena, unless the user set the allocator."""
+
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        for name in list(os.environ):
+            if name.startswith("MALLOC_") or name == "GLIBC_TUNABLES":
+                monkeypatch.delenv(name)
+        monkeypatch.setattr(cli_mod.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        cli_mod._keep_freed_memory.cache_clear()
+        yield calls
+        cli_mod._keep_freed_memory.cache_clear()
+
+    def test_set_once_per_process(self, mallopt_calls, capsys):
+        for _ in range(2):
+            assert main(["sum", "--kind", "mobius", "--limit", "4"]) == 0
+        # M_ARENA_MAX = 1, M_MMAP_THRESHOLD = 32 MiB, M_TRIM_THRESHOLD = 64 MiB
+        assert mallopt_calls == [(-8, 1), (-3, 32 * 2**20), (-1, 64 * 2**20)]
+        assert capsys.readouterr().out == "n,S\n1,1\n2,0\n3,-1\n4,-1\n" * 2
+
+    @pytest.mark.parametrize("name, value", [("GLIBC_TUNABLES", "glibc.malloc.arena_max=2"),
+                                             ("MALLOC_ARENA_MAX", "8"),
+                                             ("MALLOC_MMAP_THRESHOLD_", "131072")])
+    def test_user_settings_are_kept(self, name, value, mallopt_calls, monkeypatch, capsys):
+        monkeypatch.setenv(name, value)
+        assert main(["sum", "--kind", "mobius", "--limit", "4"]) == 0
+        assert mallopt_calls == []
+
+    @pytest.mark.parametrize("error", [AttributeError, OSError, TypeError])
+    def test_a_library_without_mallopt(self, error, mallopt_calls, monkeypatch, capsys):
+        # macOS and musl have no mallopt symbol; Windows cannot open CDLL(None)
+        def cdll(name):
+            raise error("no mallopt")
+
+        monkeypatch.setattr(cli_mod.ctypes, "CDLL", cdll)
+        assert main(["sum", "--kind", "mobius", "--limit", "4"]) == 0
+        assert capsys.readouterr().out == "n,S\n1,1\n2,0\n3,-1\n4,-1\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="mallopt is set on Linux with glibc only")
+    def test_repeated_walks_do_not_page_fault(self):
+        # A fresh interpreter runs float-reduce's sieve commands twice; the second
+        # round reuses the pages of the first. MALLOC_ARENA_MAX turns the settings
+        # off, and the reports stay byte-identical.
+        script = """if True:
+            import hashlib, io, resource
+            from contextlib import redirect_stdout
+            from summatoria.cli import main
+            commands = [["sum", "--kind", "psi", "--limit", "2e6"],
+                        ["stats", "--kind", "theta", "--limit", "2e6"],
+                        ["scaling", "--kind", "psi", "--limit", "1e6"]]
+            for _ in range(2):
+                out = io.StringIO()
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                with redirect_stdout(out):
+                    for argv in commands:
+                        assert main(argv + ["--threads", "2"]) == 0
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            print(faults, hashlib.sha256(out.getvalue().encode()).hexdigest())
+        """
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        results = []
+        for extra in ({}, {"MALLOC_ARENA_MAX": "8"}):
+            proc = subprocess.run([sys.executable, "-c", script], env={**env, **extra}, check=True,
+                                  stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True)
+            results.append(proc.stdout.split())
+        (faults, digest), (_, unset_digest) = results
+        assert int(faults) < 200
+        assert digest == unset_digest
 
 
 class TestVerifyCommand:
