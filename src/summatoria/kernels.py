@@ -71,7 +71,9 @@ DEFAULT_MAX_SEGMENT = 1 << 26
 _WHEEL_PRIMES = (2, 3, 5, 7)
 _WHEEL = 44100
 #: From this many entries (at least 420) on, a prime mask is read by its wheel columns.
-_WHEEL_SCAN = 1 << 18
+#: On a 2-vCPU VM that read takes 0.52-0.75 times as long as one flatnonzero at 2**17
+#: entries, and 1.2-3.6 times as long at 2**14 to 3 * 2**14 (theta, psi; lo = 1, 10**9).
+_WHEEL_SCAN = 1 << 17
 #: The primes below this are sieved over _SIEVE_BLOCK entries at a time (2 MB of
 #: score, 1 MB of mask: within a 2 MB L2), the larger ones over the whole window.
 _BLOCKED_BELOW = 256

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .kernels import FunctionKind, ValueTable
-from .kernels import sieve_values  # noqa: F401  kept for the benchmark's tracer (ROADMAP direction 1)
+from .kernels import sieve_values  # noqa: F401  kept for the benchmark's tracer (ROADMAP direction 4)
 from .series import (
     _FLOAT_EXACT_LIMIT,
     DEFAULT_SEGMENT,

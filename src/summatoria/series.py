@@ -11,11 +11,11 @@ point and each checkpoint is rounded once, so every value is the correctly
 rounded sum of f(1..n) (what math.fsum returns) and depends only on
 (kind, n), for n up to _FLOAT_EXACT_LIMIT.
 
-A segment, or for the Chebyshev kinds a block of _READOUT_BLOCK terms,
-holding at least as many checkpoints as terms (every n, say) is read out
-once at every prefix and then gathered: one int64 cumsum for the integer
-kinds, one fixed-point readout per term count for the Chebyshev kinds.
-Either route forms the same exact sum and rounds it once.
+The Chebyshev terms of a segment are cumsummed in one in-place pass of
+fixed-point limbs. A segment holding at least as many checkpoints as terms
+(every n, say) is read out once at every prefix and then gathered: one
+int64 cumsum for the integer kinds, one rounding per term count for the
+Chebyshev kinds. Either route forms the same exact sum and rounds it once.
 
 segment_runs() gives S(n) at every n without a row per n: each segment
 comes as its runs of constant S(n), one starting at the segment's lo and
@@ -60,8 +60,6 @@ _LIMB_MASK = (1 << _LIMB) - 1
 #: of magnitude <= 7 stays inside int16.
 _BLOCK_BITS = 12
 _BLOCK = 1 << _BLOCK_BITS
-#: Terms per block of the fixed-point readout: its int64 temporaries stay in cache.
-_READOUT_BLOCK = 1 << 16
 #: Powers per numpy block of a ratio ladder.
 _LADDER_BLOCK = 1 << 16
 #: Rows per block of the checks on a new SummatorySeries.
@@ -231,13 +229,6 @@ def _ordered_segments(kind: FunctionKind, stop: int, segment_size: int, threads:
             yield pending.popleft().result()
 
 
-def _cumsum0(terms: np.ndarray) -> np.ndarray:
-    """int64 prefix sums of terms with a leading 0: entry c sums c terms."""
-    out = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(terms, dtype=np.int64, out=out[1:])
-    return out
-
-
 def _block_prefix(terms: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, int]:
     """int64 sums of terms[:c] for each c in counts (maybe none), and the sum of all terms.
 
@@ -281,9 +272,12 @@ class _ExactRun:
     With scale None the terms are small integers (see _block_prefix), read
     out of int64 block prefixes and int16 in-block prefixes. Otherwise they
     are nonnegative multiples of 2**-scale below 2**(63 - scale): exact
-    int64 in fixed point, cumsummed as two 29-bit limbs in blocks of
-    _READOUT_BLOCK terms, and each readout is the correctly rounded float64
-    of the exact total.
+    int64 in fixed point, cumsummed in place as two 29-bit limbs in one pass
+    over the stream, and each readout is the correctly rounded float64 of
+    the exact total. One pass over a segment's at most DEFAULT_MAX_SEGMENT =
+    2**26 terms stays exact: the low limbs sum to below 2**26 * 2**29 =
+    2**55, and the high limbs to below 2**25 Q(n) < 2**62, the bound that
+    _FLOAT_EXACT_LIMIT states.
     """
 
     def __init__(self, scale: int | None = None):
@@ -297,30 +291,24 @@ class _ExactRun:
         or when counts are at least as many as the terms, every prefix 0..m
         is read out once and gathered at counts; otherwise only the counts are.
         """
+        dense = isinstance(counts, slice) or len(counts) >= len(terms)
         if self.scale is None:
-            if isinstance(counts, slice) or len(counts) >= len(terms):
-                prefix = _cumsum0(terms)
+            if dense:
+                prefix = np.zeros(len(terms) + 1, dtype=np.int64)  # entry c sums c terms
+                np.cumsum(terms, dtype=np.int64, out=prefix[1:])
                 out, total = prefix[counts], int(prefix[-1])
             else:
                 out, total = _block_prefix(terms, counts)
             out += self.total
             self.total += total
             return out
-        if len(terms) <= _READOUT_BLOCK:
-            return self._fixed(terms, counts)
-        if isinstance(counts, slice):
-            counts = np.arange(len(terms) + 1)[counts]
-        # Block j: terms[i:i + _READOUT_BLOCK] and the counts in (i, i + _READOUT_BLOCK], 0 in block 0.
-        edges = range(_READOUT_BLOCK, len(terms), _READOUT_BLOCK)
-        blocks = np.split(counts, np.searchsorted(counts, edges, side="right"))
-        return np.concatenate([self._fixed(terms[i : i + _READOUT_BLOCK], c - i)
-                               for i, c in zip(range(0, len(terms), _READOUT_BLOCK), blocks)])
-
-    def _fixed(self, terms: np.ndarray, counts) -> np.ndarray:
-        """The fixed-point add of one block of terms; counts as add takes them."""
-        dense = isinstance(counts, slice) or len(counts) >= len(terms)
-        x = np.ldexp(terms, self.scale).astype(np.int64)
-        h, l = _cumsum0(x >> _LIMB), _cumsum0(x & _LIMB_MASK)
+        # h and l: the high and low limbs of the terms after a leading 0, then their prefix sums.
+        h = np.zeros(len(terms) + 1, dtype=np.int64)
+        np.ldexp(terms, self.scale, out=h[1:], casting="unsafe")
+        l = h & _LIMB_MASK
+        h >>= _LIMB
+        np.cumsum(h, out=h)
+        np.cumsum(l, out=l)
         total = (int(h[-1]) << _LIMB) + int(l[-1])
         if not dense:
             h, l = h[counts], l[counts]

@@ -2,7 +2,6 @@ import itertools
 import math
 import time
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -515,37 +514,21 @@ class TestDenseReadout:
             assert table.Q.tolist() == [math.fsum(squares[:n]) for n in table.n.tolist()]
 
 
-class TestBlockedReadout:
-    """The fixed-point readout walks _READOUT_BLOCK terms at a time, and no value depends on it."""
+class TestLongStreamReadout:
+    """A stream longer than 2**16 terms is read out in one fixed-point pass, at counts on and past 2**16."""
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    @given(
-        st.sampled_from([53, 54]),
-        st.lists(st.tuples(st.integers(0, 300), st.integers(-1, 1), st.integers(0, 2**32 - 1)),
-                 min_size=1, max_size=4),
-        st.booleans(),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_counts_at_zero_on_each_block_edge_and_past_the_last(self, block, scale, steps, sparse):
-        with mock.patch.object(series_mod, "_READOUT_BLOCK", block):
-            check_exact_run(scale, steps, edges=block if sparse else None)
+    @pytest.mark.parametrize("edges", [2**16, None], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("scale", [53, 54])
+    def test_counts_on_and_past_each_multiple_of_2_16(self, scale, edges):
+        check_exact_run(scale, [(2**17 + 5, 0, 2**17)], edges=edges)
 
-    @pytest.mark.parametrize("kind", [FunctionKind.CHEBYSHEV_PSI_TERM, FunctionKind.CHEBYSHEV_THETA_TERM],
-                             ids=lambda k: k.label)
-    def test_walks_in_blocks_of_7(self, kind, monkeypatch):
-        limit, size = 12000, 1000
-        monkeypatch.setattr(series_mod, "_READOUT_BLOCK", 7)
-        values = sieve_values(kind, 1, limit).values
-        terms = values[values != 0]
-        s = np.array([math.fsum(terms[:c]) for c in range(len(terms) + 1)])
-        q = np.array([math.fsum(terms[:c] ** 2) for c in range(len(terms) + 1)])
-        count = np.cumsum(values != 0)  # count[n - 1]: the terms up to n
-        table = moment_scan(kind, limit, [*range(1, 3001), *range(3001, limit, 700)], segment_size=size)
-        assert table.S.tolist() == s[count[table.n - 1]].tolist()
-        assert table.Q.tolist() == q[count[table.n - 1]].tolist()
-        runs = list(segment_runs(kind, limit, segment_size=size))
-        ns = np.concatenate([ns for ns, _, _ in runs])
-        assert np.concatenate([sums for _, sums, _ in runs]).tolist() == s[count[ns - 1]].tolist()
+    @pytest.mark.parametrize("start", [0, 1])
+    def test_slice_counts_equal_the_same_counts_as_an_array(self, start):
+        terms = exact_run_terms(53, 2**17 + 5, start)
+        by_slice, by_array = _ExactRun(53), _ExactRun(53)
+        for _ in range(2):  # the second add starts from a nonzero total
+            want = by_array.add(terms, np.arange(start, len(terms) + 1))
+            assert by_slice.add(terms, slice(start, None)).tobytes() == want.tobytes()
 
 
 class TestValueAt:
