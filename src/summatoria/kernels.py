@@ -70,9 +70,8 @@ DEFAULT_MAX_SEGMENT = 1 << 26
 #: The wheel primes, and the period of their tile: p**2 divides it for each.
 _WHEEL_PRIMES = (2, 3, 5, 7)
 _WHEEL = 44100
-#: From this many entries (at least 420) on, a prime mask is read by its wheel columns.
-#: On a 2-vCPU VM that read takes 0.52-0.75 times as long as one flatnonzero at 2**17
-#: entries, and 1.2-3.6 times as long at 2**14 to 3 * 2**14 (theta, psi; lo = 1, 10**9).
+#: From this many entries (at least 420) on, a prime mask is read by its wheel columns: on a
+#: 2-vCPU VM, 0.52-0.75x one flatnonzero's time at 2**17, 1.2-3.6x at 2**14 to 3 * 2**14.
 _WHEEL_SCAN = 1 << 17
 #: The primes below this are sieved over _SIEVE_BLOCK entries at a time (2 MB of
 #: score, 1 MB of mask: within a 2 MB L2), the larger ones over the whole window.
